@@ -101,27 +101,22 @@ def asm_leq(A: Asm, B: Asm) -> bool:
 
 def join(asms: Iterable[Asm]) -> Asm:
     """Least upper bound: entrywise minimum of corner sums."""
-    mats = list(asms)
-    if not mats:
-        raise ValueError("join of an empty family (supply the bottom element explicitly)")
-    tables = [corner_sums(A) for A in mats]
-    n = len(mats[0])
-    merged = [
-        [min(t[i][j] for t in tables) for j in range(n + 1)]
-        for i in range(n + 1)
-    ]
-    return asm_from_corner_sums(merged)
+    return _bound(asms, min, "join", "bottom")
 
 
 def meet(asms: Iterable[Asm]) -> Asm:
     """Greatest lower bound: entrywise maximum of corner sums."""
+    return _bound(asms, max, "meet", "top")
+
+
+def _bound(asms, pick, op: str, end: str) -> Asm:
     mats = list(asms)
     if not mats:
-        raise ValueError("meet of an empty family (supply the top element explicitly)")
+        raise ValueError(f"{op} of an empty family (supply the {end} element explicitly)")
     tables = [corner_sums(A) for A in mats]
     n = len(mats[0])
     merged = [
-        [max(t[i][j] for t in tables) for j in range(n + 1)]
+        [pick(t[i][j] for t in tables) for j in range(n + 1)]
         for i in range(n + 1)
     ]
     return asm_from_corner_sums(merged)

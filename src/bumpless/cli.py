@@ -169,80 +169,55 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-def _corner_cases(n):
-    for w in perms.all_perms(n):
-        for corner in sorted(perms.lower_outside_corners(w)):
-            yield w, corner
+VERIFIERS = {
+    "main": "verify_main_theorem",
+    "transition": "verify_schubert_transition",
+    "groth-transition": "verify_grothendieck_transition",
+    "theoremB": "verify_theorem_B",
+    "linkdecomp": "verify_link_decomposition",
+    "asm": "verify_asm_lattice",
+    "ycompat": "verify_ycompat",
+    "hilbert": "verify_hilbert_transition",
+}
 
 
 def _verify_cases(args) -> list[tuple]:
-    kind = args.target
-    n = args.all_sn
-    if n is not None:
-        if kind == "main":
-            return [("main", [w], args.order) for w in perms.all_perms(n)]
-        if kind == "theoremB":
-            return [("theoremB", w) for w in perms.all_perms(n)]
-        if kind == "asm":
-            return [("asm", A) for A in asm_mod.all_asms(n)]
-        if kind == "ycompat":
-            out = []
-            for w in perms.all_perms(n):
-                cell = tr.maximal_accessible_cell([w])
-                if cell is not None:
-                    out.append(("ycompat", [w], cell, args.order))
-            return out
-        if kind == "hilbert":
-            return [("hilbert", w, c, args.order) for w, c in _corner_cases(n)]
-        return [(kind, w, c) for w, c in _corner_cases(n)]
-
-    if not args.inputs:
+    """Cases for the explicit inputs as one family, or for each member of
+    the swept group as a family of its own."""
+    kind, order = args.target, args.order
+    corner = _cell(args.corner) if args.corner else None
+    if args.all_sn is not None:
+        sweep = asm_mod.all_asms if kind == "asm" else perms.all_perms
+        families = [[x] for x in sweep(args.all_sn)]
+    elif args.inputs:
+        parse = _perm_or_asm if kind == "asm" else _perm
+        families = [[parse(t) for t in args.inputs]]
+    else:
         raise ValueError("give case inputs or --all-sn N")
-    if kind == "asm":
-        return [("asm", _perm_or_asm(t)) for t in args.inputs]
-    words = [_perm(t) for t in args.inputs]
-    if kind == "main":
-        return [("main", words, args.order)]
-    if kind == "theoremB":
-        return [("theoremB", w) for w in words]
-    if kind == "ycompat":
-        cell = _cell(args.corner) if args.corner else tr.maximal_accessible_cell(words)
-        if cell is None:
-            raise ValueError("no accessible cell; pass --corner")
-        return [("ycompat", words, cell, args.order)]
-    out = []
-    for w in words:
-        corners = (
-            [_cell(args.corner)]
-            if args.corner
-            else sorted(perms.lower_outside_corners(w))
-        )
-        if kind == "hilbert":
-            out.extend(("hilbert", w, c, args.order) for c in corners)
+    cases = []
+    for ws in families:
+        if kind == "main":
+            cases.append((kind, ws, order))
+        elif kind in ("theoremB", "asm"):
+            cases.extend((kind, x) for x in ws)
+        elif kind == "ycompat":
+            cell = corner or tr.maximal_accessible_cell(ws)
+            if cell is not None:
+                cases.append((kind, ws, cell, order))
+            elif args.all_sn is None:
+                raise ValueError("no accessible cell; pass --corner")
         else:
-            out.extend((kind, w, c) for c in corners)
-    return out
+            extra = (order,) if kind == "hilbert" else ()
+            for w in ws:
+                for c in [corner] if corner else sorted(perms.lower_outside_corners(w)):
+                    cases.append((kind, w, c, *extra))
+    return cases
 
 
 def run_verify_case(case: tuple) -> dict:
-    kind = case[0]
-    if kind == "main":
-        return tr.verify_main_theorem(case[1], order=case[2])
-    if kind == "transition":
-        return tr.verify_schubert_transition(case[1], case[2])
-    if kind == "groth-transition":
-        return tr.verify_grothendieck_transition(case[1], case[2])
-    if kind == "theoremB":
-        return tr.verify_theorem_B(case[1])
-    if kind == "linkdecomp":
-        return tr.verify_link_decomposition(case[1], case[2])
-    if kind == "asm":
-        return tr.verify_asm_lattice(case[1])
-    if kind == "ycompat":
-        return tr.verify_ycompat(case[1], case[2], order=case[3])
-    if kind == "hilbert":
-        return tr.verify_hilbert_transition(case[1], case[2], order=case[3])
-    raise ValueError(f"unknown verify target {kind!r}")
+    # Looked up by name at call time, so a verifier rebound on the
+    # transition module (perfbench's tracer does this) is the one called.
+    return getattr(tr, VERIFIERS[case[0]])(*case[1:])
 
 
 def cmd_verify(args) -> int:
@@ -270,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--workers",
         type=int,
-        default=int(os.environ.get("BUMPLESS_WORKERS", os.cpu_count() or 1)),
+        default=os.environ.get("BUMPLESS_WORKERS", os.cpu_count() or 1),
         help="parallel verification cases (default: available cores)",
     )
     top.add_argument("--cache-dir", help="basis cache directory override")
@@ -310,19 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lattice)
 
     p = sub.add_parser("verify", help="run verification cases")
-    p.add_argument(
-        "target",
-        choices=(
-            "main",
-            "transition",
-            "groth-transition",
-            "theoremB",
-            "linkdecomp",
-            "asm",
-            "ycompat",
-            "hilbert",
-        ),
-    )
+    p.add_argument("target", choices=VERIFIERS)
     p.add_argument("inputs", nargs="*", help="permutations (or ASMs for asm)")
     p.add_argument("--all-sn", type=int, default=None, metavar="N",
                    help="sweep every case at matrix size N")
@@ -334,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    saved = os.environ.get("BUMPLESS_CACHE_DIR")
     if args.cache_dir:
         os.environ["BUMPLESS_CACHE_DIR"] = args.cache_dir
     try:
@@ -341,6 +305,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if saved is None:
+            os.environ.pop("BUMPLESS_CACHE_DIR", None)
+        else:
+            os.environ["BUMPLESS_CACHE_DIR"] = saved
 
 
 if __name__ == "__main__":

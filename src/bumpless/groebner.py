@@ -24,7 +24,7 @@ from math import gcd as _int_gcd
 from . import asm as asm_mod
 from . import cache as cache_mod
 from . import perms
-from .rings import Poly, Ring, matrix_names, parse_poly
+from .rings import Poly, Ring, _primitive, matrix_names
 
 
 def minor(ring: Ring, rows, cols) -> Poly:
@@ -95,27 +95,6 @@ def _common_ring(polys) -> Ring:
     if len(rings) != 1:
         raise ValueError("generators live in different rings")
     return rings.pop()
-
-
-def _to_int_dict(p: Poly) -> dict[int, int]:
-    den = 1
-    for c in p.terms.values():
-        if isinstance(c, Fraction):
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-    return {m: int(c * den) for m, c in p.terms.items()}
-
-
-def _normalize(d: dict[int, int]) -> dict[int, int]:
-    if not d:
-        return d
-    g = 0
-    for c in d.values():
-        g = _int_gcd(g, c)
-    if d[max(d)] < 0:
-        g = -g
-    if g == 1:
-        return d
-    return {m: c // g for m, c in d.items()}
 
 
 def _reducer(d: dict[int, int]):
@@ -199,14 +178,11 @@ def buchberger(gens, use_cache: bool = True) -> list[Poly]:
     if not gens:
         return []
     ring = _common_ring(gens)
-    seeds = sorted(
-        {tuple(sorted(_normalize(_to_int_dict(g)).items())) for g in gens}
-    )
-    key_texts = [Poly(ring, dict(s)).to_text() for s in seeds]
+    seeds = sorted({tuple(sorted(_primitive(g.terms).items())) for g in gens})
     if use_cache:
-        hit = cache_mod.load_basis(ring.names, ring.layout, key_texts)
+        hit = cache_mod.load_basis(ring, seeds)
         if hit is not None:
-            return [parse_poly(ring, text) for text in hit]
+            return [Poly(ring, terms) for terms in hit]
 
     basis: list[dict[int, int]] = []
     lms: list[int] = []
@@ -229,7 +205,7 @@ def buchberger(gens, use_cache: bool = True) -> list[Poly]:
 
     for s in seeds:
         d = dict(s)
-        nf = _normalize(_reduce_int(ring, d, reducers))
+        nf = _primitive(_reduce_int(ring, d, reducers))
         if nf:
             push_element(nf)
 
@@ -256,21 +232,19 @@ def buchberger(gens, use_cache: bool = True) -> list[Poly]:
         if skip:
             continue
         s = _spoly(ring, basis[i], basis[j], lms[i], lcs[i], lms[j], lcs[j])
-        nf = _normalize(_reduce_int(ring, s, reducers))
+        nf = _primitive(_reduce_int(ring, s, reducers))
         if nf:
             push_element(nf)
 
     reduced = _autoreduce(ring, basis)
     result = [Poly(ring, d) for d in reduced]
     if use_cache:
-        cache_mod.store_basis(
-            ring.names, ring.layout, key_texts, [p.to_text() for p in result]
-        )
+        cache_mod.store_basis(ring, seeds, reduced)
     return result
 
 
 def _autoreduce(ring: Ring, ds) -> list[dict[int, int]]:
-    ds = [d for d in (_normalize(dict(d)) for d in ds) if d]
+    ds = [d for d in map(_primitive, ds) if d]
     ds.sort(key=lambda d: (max(d), len(d)))
     kept: list[dict[int, int]] = []
     for d in ds:
@@ -282,7 +256,7 @@ def _autoreduce(ring: Ring, ds) -> list[dict[int, int]]:
         changed = False
         for k, d in enumerate(kept):
             reducers = sorted(_reducer(e) for p, e in enumerate(kept) if p != k)
-            nf = _normalize(_reduce_int(ring, d, reducers))
+            nf = _primitive(_reduce_int(ring, d, reducers))
             if nf != d:
                 kept[k] = nf
                 changed = True
@@ -298,7 +272,7 @@ def is_groebner(gens) -> bool:
     if len(gens) <= 1:
         return True
     ring = _common_ring(gens)
-    ds = [_normalize(_to_int_dict(g)) for g in gens]
+    ds = [_primitive(g.terms) for g in gens]
     reducers = sorted(_reducer(d) for d in ds)
     meta = [(max(d), d[max(d)]) for d in ds]
     for i in range(len(ds)):
@@ -315,7 +289,7 @@ def normal_form(f: Poly, basis) -> Poly:
     if f.is_zero or not basis:
         return f
     ring = _common_ring([f] + basis)
-    reducers = sorted(_reducer(_normalize(_to_int_dict(g))) for g in basis)
+    reducers = sorted(_reducer(_primitive(g.terms)) for g in basis)
     guard = ring._guard
     work = {m: Fraction(c) for m, c in f.terms.items()}
     heap = [-m for m in work]

@@ -100,11 +100,15 @@ def essential_set(w: Perm) -> frozenset[Cell]:
 
 def lower_outside_corners(w: Perm) -> frozenset[Cell]:
     """Maximally-southeast diagram cells: no other diagram cell weakly southeast."""
-    diag = rothe_diagram(w)
+    return _southeast_maximal(rothe_diagram(w))
+
+
+def _southeast_maximal(cells) -> frozenset[Cell]:
+    """Cells of a set with no other cell of the set weakly southeast."""
     return frozenset(
         (i, j)
-        for (i, j) in diag
-        if not any(c != (i, j) and c[0] >= i and c[1] >= j for c in diag)
+        for (i, j) in cells
+        if not any(c != (i, j) and c[0] >= i and c[1] >= j for c in cells)
     )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd, lcm
 
 SLOT_BITS = 16
 SLOT_CAP = 1 << (SLOT_BITS - 1)
@@ -376,24 +376,7 @@ class Poly:
 
     def normalized(self):
         """Canonical associate: integer coefficients, content 1, positive lead."""
-        if not self.terms:
-            return self
-        den = 1
-        for c in self.terms.values():
-            if isinstance(c, Fraction):
-                den = den * c.denominator // _int_gcd(den, c.denominator)
-        g = 0
-        ints = {}
-        for m, c in self.terms.items():
-            ic = int(c * den)
-            ints[m] = ic
-            g = _int_gcd(g, ic)
-        if ints[max(ints)] < 0:
-            g = -g
-        out = Poly.__new__(Poly)
-        out.ring = self.ring
-        out.terms = {m: c // g for m, c in ints.items()}
-        return out
+        return Poly(self.ring, _primitive(self.terms))
 
     def convert(self, target):
         """Re-encode into a ring holding every variable that occurs."""
@@ -403,7 +386,7 @@ class Poly:
             target._units[target._index[nm]] if nm in target._index else None
             for nm in self.ring.names
         ]
-        acc = {}
+        rekeyed = []
         for m, c in self.terms.items():
             key = 0
             for v, e in enumerate(self.ring.decode(m)):
@@ -413,15 +396,8 @@ class Poly:
                             f"variable {self.ring.names[v]!r} is absent from the target"
                         )
                     key += e * units[v]
-            nc = acc.get(key, 0) + c
-            if nc:
-                acc[key] = nc
-            elif key in acc:
-                del acc[key]
-        out = Poly.__new__(Poly)
-        out.ring = target
-        out.terms = acc
-        return out
+            rekeyed.append((key, c))
+        return Poly(target, rekeyed)
 
     def map_variables(self, target, images=None):
         """Substitute polynomials for variables, landing in ``target``.
@@ -489,6 +465,23 @@ class Poly:
             else:
                 pieces.append(f" - {body}" if neg else f" + {body}")
         return "".join(pieces)
+
+
+def _primitive(terms):
+    """Integer multiple of a term map with content one and a positive
+    leading coefficient; the map itself when it already is one."""
+    if not terms:
+        return terms
+    dens = [c.denominator for c in terms.values() if isinstance(c, Fraction)]
+    if dens:
+        den = lcm(*dens)
+        terms = {m: int(c * den) for m, c in terms.items()}
+    g = gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        g = -g
+    if g == 1:
+        return terms
+    return {m: c // g for m, c in terms.items()}
 
 
 def exact_divide(f, g):
@@ -593,6 +586,8 @@ def parse_poly(ring, text):
             if (k, v) == ("op", "*"):
                 take("op", "*")
                 acc = acc * factor()
+                if any(m & ring._guard for m in acc.terms):
+                    raise ValueError(f"exponent of {SLOT_CAP} or more in polynomial text")
             elif (k, v) == ("op", "/"):
                 take("op", "/")
                 d = factor()
@@ -611,7 +606,11 @@ def parse_poly(ring, text):
         k, v = peek()
         if (k, v) == ("op", "^"):
             take("op", "^")
-            return base ** take("num")
+            e = take("num")
+            top = max((max(ring.decode(m), default=0) for m in base.terms), default=0)
+            if top * e >= SLOT_CAP:
+                raise ValueError(f"exponent of {SLOT_CAP} or more in polynomial text")
+            return base ** e
         return base
 
     def atom():

@@ -150,24 +150,21 @@ def single_schubert_poly(w: Perm, ring: Ring) -> Poly:
 def bpd_schubert_poly(w: Perm, ring: Ring) -> Poly:
     """Double polynomial as a sum over the droop tilings of w: each tiling
     contributes the product of (x_i + y_j) over its blank cells."""
+    return _tiling_sum(w, ring, lambda i, j: xvar(ring, i) + yvar(ring, j))
+
+
+def bpd_single_schubert_poly(w: Perm, ring: Ring) -> Poly:
+    """Row-weight specialization of the tiling sum (y set to zero)."""
+    return _tiling_sum(w, ring, lambda i, j: xvar(ring, i))
+
+
+def _tiling_sum(w: Perm, ring: Ring, weight) -> Poly:
     w = pad(w, ring_size(ring))
     total = Poly.zero(ring)
     for grid in sorted(bpd_mod.enumerate_bpds(w)):
         piece = Poly.constant(ring, 1)
         for i, j in sorted(bpd_mod.diagram(grid)):
-            piece = piece * (xvar(ring, i) + yvar(ring, j))
-        total = total + piece
-    return total
-
-
-def bpd_single_schubert_poly(w: Perm, ring: Ring) -> Poly:
-    """Row-weight specialization of the tiling sum (y set to zero)."""
-    w = pad(w, ring_size(ring))
-    total = Poly.zero(ring)
-    for grid in sorted(bpd_mod.enumerate_bpds(w)):
-        piece = Poly.constant(ring, 1)
-        for i, _ in sorted(bpd_mod.diagram(grid)):
-            piece = piece * xvar(ring, i)
+            piece = piece * weight(i, j)
         total = total + piece
     return total
 
@@ -188,16 +185,11 @@ def set_beta(f: Poly, value: int) -> Poly:
     ring = f.ring
     v = ring.index(BETA)
     unit = ring._units[v]
-    out: dict[int, int] = {}
+    rekeyed = []
     for m, c in f.terms.items():
         e = ring.decode(m)[v]
-        key = m - e * unit
-        nc = out.get(key, 0) + c * value**e
-        if nc:
-            out[key] = nc
-        elif key in out:
-            del out[key]
-    return Poly(ring, out)
+        rekeyed.append((m - e * unit, c * value**e))
+    return Poly(ring, rekeyed)
 
 
 def principal_value(f: Poly):

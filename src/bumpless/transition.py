@@ -113,13 +113,8 @@ def maximal_accessible_cell(ws) -> Cell | None:
 
 def southeast_cells(ws) -> list[Cell]:
     """Maximally southeast cells of the union of the Rothe diagrams."""
-    cells = {cell for w in ws for cell in perms.rothe_diagram(w)}
     return sorted(
-        (a, b)
-        for a, b in cells
-        if not any(
-            (c, d) != (a, b) and c >= a and d >= b for c, d in cells
-        )
+        perms._southeast_maximal({cell for w in ws for cell in perms.rothe_diagram(w)})
     )
 
 
@@ -135,6 +130,11 @@ def _report(case: str, statement: str, ok: bool, witness: dict) -> dict:
 def _case_name(ws, corner: Cell | None = None) -> str:
     words = "^".join(perms.perm_to_text(w) for w in ws)
     return words if corner is None else f"{words}@{corner[0]},{corner[1]}"
+
+
+def _difference_report(w, corner: Cell, statement: str, diff: Poly) -> dict:
+    witness = {} if diff.is_zero else {"difference": diff.to_text()}
+    return _report(_case_name([w], corner), statement, diff.is_zero, witness)
 
 
 def _subsets(phi):
@@ -153,13 +153,7 @@ def verify_schubert_transition(w, corner: Cell) -> dict:
     rhs = (xvar(T, a) + yvar(T, b)) * schubert_poly(td.v, T)
     for u in td.Phi:
         rhs = rhs + schubert_poly(u, T)
-    diff = lhs - rhs
-    return _report(
-        _case_name([w], corner),
-        "schubert-transition",
-        diff.is_zero,
-        {"difference": diff.to_text()} if not diff.is_zero else {},
-    )
+    return _difference_report(w, corner, "schubert-transition", lhs - rhs)
 
 
 def verify_grothendieck_transition(w, corner: Cell) -> dict:
@@ -178,13 +172,7 @@ def verify_grothendieck_transition(w, corner: Cell) -> dict:
             transition_target(td, U), G
         )
     rhs = circ * grothendieck_poly(td.v, G) + (1 + beta * circ) * tail
-    diff = lhs - rhs
-    return _report(
-        _case_name([w], corner),
-        "grothendieck-transition",
-        diff.is_zero,
-        {"difference": diff.to_text()} if not diff.is_zero else {},
-    )
+    return _difference_report(w, corner, "grothendieck-transition", lhs - rhs)
 
 
 _K_MEMO: dict[tuple, Poly] = {}
@@ -217,13 +205,7 @@ def verify_hilbert_transition(w, corner: Cell, order: str = "diag") -> dict:
         term = k_of_quotient(transition_target(td, U), R, T)
         tail = tail + (-1) ** (len(U) - 1) * term
     rhs = (1 - xy) * k_of_quotient(td.v, R, T) + xy * tail
-    diff = lhs - rhs
-    return _report(
-        _case_name([w], corner),
-        "hilbert-transition",
-        diff.is_zero,
-        {"difference": diff.to_text()} if not diff.is_zero else {},
-    )
+    return _difference_report(w, corner, "hilbert-transition", lhs - rhs)
 
 
 def _texts(polys) -> list[str]:

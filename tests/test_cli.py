@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -111,6 +112,25 @@ def test_cache_dir_flag(capsys, tmp_path, monkeypatch):
     code, _ = run(capsys, "--cache-dir", str(tmp_path), "ideal", "gb", "21543")
     assert code == 0
     assert list(tmp_path.glob("gb-*.json"))
+    assert "BUMPLESS_CACHE_DIR" not in os.environ
+
+
+def test_cache_dir_flag_restores_the_environment(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(tmp_path / "outer"))
+    code, _ = run(capsys, "--cache-dir", str(tmp_path / "inner"), "ideal", "gb", "2143")
+    assert code == 0
+    assert list((tmp_path / "inner").glob("gb-*.json"))
+    assert os.environ["BUMPLESS_CACHE_DIR"] == str(tmp_path / "outer")
+
+
+def test_bad_workers_environment_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("BUMPLESS_WORKERS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bpd", "count", "21"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    monkeypatch.setenv("BUMPLESS_WORKERS", "3")
+    assert cli.build_parser().parse_args(["bpd", "count", "21"]).workers == 3
 
 
 def test_worker_pool_matches_sequential(capsys):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -293,3 +294,32 @@ def test_asm_ideal_is_intersection_of_its_permutations():
     pieces = [gb.fulton_generators(u, ring) for u in sorted(asm.perm_set(A))]
     meet = gb.intersect_many(pieces, use_cache=False)
     assert gb.ideal_equal(meet, gb.asm_generators(A, ring), use_cache=False)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        ["z[9,9] +"],
+        {"basis": []},
+        [[]],
+        [[[1, 0]]],
+        [[[1, 99, 1]]],
+        [[[1, 3, 1, 3, 1]]],
+        [[[1, 0, 32768]]],
+        [[[0, 0, 1]]],
+        [[[1.5, 0, 1]]],
+        [[[True, 0, 1]]],
+    ],
+)
+def test_undecodable_cache_entry_is_recomputed(entry, tmp_path, monkeypatch):
+    monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(tmp_path))
+    ring = matrix_ring(4, "diag")
+    gens = gb.fulton_generators((2, 1, 4, 3), ring)
+    expected = gb.buchberger(gens, use_cache=False)
+    assert gb.buchberger(gens) == expected
+    [path] = tmp_path.glob("gb-*.json")
+    stored = path.read_text()
+    path.write_text(json.dumps(entry))
+    assert gb.buchberger(gens) == expected
+    assert path.read_text() == stored
+    assert gb.buchberger(gens) == expected

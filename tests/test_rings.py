@@ -225,6 +225,16 @@ def test_text_round_trip_and_format():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "z[1,1] +", "w[1,1]", "z[1,1] @ 2", "(z[1,1]", "2 2"):
+    for bad in (
+        "",
+        "z[1,1] +",
+        "w[1,1]",
+        "z[1,1] @ 2",
+        "(z[1,1]",
+        "2 2",
+        "z[1,1]^32768",
+        "z[1,1]^20000*z[1,1]^20000",
+        "(z[1,1]^200)^200",
+    ):
         with pytest.raises(ValueError):
             parse_poly(R_DIAG, bad)
