@@ -8,7 +8,8 @@ rows, one row per term, with variables given by their index in the
 ring in increasing order.  An entry that does not decode to such terms
 counts as a miss.  Writes go through a temporary file in the cache
 directory and an atomic rename, which keeps concurrent writers from
-tearing each other's entries.
+tearing each other's entries; a write that fails removes its temporary
+file and leaves the cache as it was.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import suppress
 from pathlib import Path
 
 from .rings import SLOT_CAP
@@ -93,6 +95,7 @@ def load_basis(ring, seeds) -> list[dict[int, int]] | None:
 
 def store_basis(ring, seeds, basis) -> None:
     path = _entry_path(ring, seeds)
+    tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -101,4 +104,6 @@ def store_basis(ring, seeds, basis) -> None:
                       separators=(",", ":"))
         os.replace(tmp, path)
     except OSError:
-        pass
+        if tmp is not None:
+            with suppress(OSError):
+                os.unlink(tmp)

@@ -222,8 +222,9 @@ def run_verify_case(case: tuple) -> dict:
 
 def cmd_verify(args) -> int:
     cases = _verify_cases(args)
-    if args.workers > 1 and len(cases) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(cases), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_verify_case, cases))
     else:
         reports = [run_verify_case(c) for c in cases]
@@ -236,6 +237,16 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _worker_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:  # word it as argparse does for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 worker, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="bumpless",
@@ -244,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--format", choices=("text", "json"), default="text")
     top.add_argument(
         "--workers",
-        type=int,
+        type=_worker_count,
         default=os.environ.get("BUMPLESS_WORKERS", os.cpu_count() or 1),
         help="parallel verification cases (default: available cores)",
     )

@@ -30,7 +30,8 @@ class Ring:
     """Polynomial ring with a fixed monomial order given by a slot layout."""
 
     __slots__ = ("names", "layout", "_index", "_shifts", "_units",
-                 "_decode_shifts", "_guard", "_values")
+                 "_decode_shifts", "_guard", "_values", "_degree_mask",
+                 "_lanes")
 
     def __init__(self, names, layout):
         self.names = tuple(names)
@@ -52,6 +53,10 @@ class Ring:
         self._decode_shifts = tuple(decode)
         self._guard = sum(SLOT_CAP << s for s in shifts)
         self._values = sum((SLOT_CAP - 1) << s for s in shifts)
+        # One slot per variable, and the low half of every 32-bit lane:
+        # what ``degree`` needs to add up the exponents without a loop.
+        self._degree_mask = sum((SLOT_CAP - 1) << s for s in decode)
+        self._lanes = sum(0xFFFF << s for s in range(0, SLOT_BITS * nslots, 32))
 
     def __eq__(self, other):
         if not isinstance(other, Ring):
@@ -101,7 +106,12 @@ class Ring:
         return tuple((m >> s) & (SLOT_CAP - 1) for s in self._decode_shifts)
 
     def degree(self, m):
-        return sum(self.decode(m))
+        """Total degree: the exponents, one slot per variable, folded
+        pairwise into 32-bit lanes and summed by casting out 2**32 - 1.
+        Exact while the slot count stays below 2**17."""
+        m &= self._degree_mask
+        lanes = self._lanes
+        return ((m & lanes) + ((m >> SLOT_BITS) & lanes)) % 0xFFFFFFFF
 
     def divides(self, d, m):
         """Whether monomial ``d`` divides monomial ``m``."""

@@ -133,6 +133,54 @@ def test_bad_workers_environment_is_a_usage_error(capsys, monkeypatch):
     assert cli.build_parser().parse_args(["bpd", "count", "21"]).workers == 3
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size it was
+    asked for and runs the cases in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "workers, cores, expected",
+    [("64", 3, [3]), ("64", 64, [6]), ("2", 64, [2]), ("5", 1, []), ("1", 64, [])],
+)
+def test_worker_pool_is_clamped(capsys, monkeypatch, workers, cores, expected):
+    # verify transition --all-sn 3 has six cases
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    code, _ = run(capsys, "--workers", workers, "verify", "transition", "--all-sn", "3")
+    assert code == 0
+    assert RecordingPool.sizes == expected
+
+
+@pytest.mark.parametrize(
+    "argv, env", [(["--workers", "0"], None), ([], "0"), (["--workers", "-2"], None)]
+)
+def test_workers_below_one_is_a_usage_error(capsys, monkeypatch, argv, env):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    if env is not None:
+        monkeypatch.setenv("BUMPLESS_WORKERS", env)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["verify", "transition", "--all-sn", "3"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert RecordingPool.sizes == []
+
+
 def test_worker_pool_matches_sequential(capsys):
     seq = run(capsys, "--workers", "1", "verify", "transition", "--all-sn", "3")
     par = run(capsys, "--workers", "2", "verify", "transition", "--all-sn", "3")

@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,61 @@ def test_buchberger_output_is_verified_groebner_s4():
             assert gb.normal_form(p, rest) == p
 
 
+@pytest.mark.parametrize("order", ["diag", "col-lex", "antidiag"])
+def test_buchberger_output_is_verified_groebner_s5(order):
+    ring = matrix_ring(5, order)
+    for w in perms.all_perms(5):
+        basis = gb.buchberger(gb.fulton_generators(w, ring), use_cache=False)
+        assert gb.is_groebner(basis), perms.perm_to_text(w)
+
+
+def _reduction_budget(monkeypatch, budget, max_bits=10**6):
+    """Make the next computations fail fast after ``budget`` reductions,
+    or on a remainder with a coefficient wider than ``max_bits``."""
+    calls = 0
+    reduce_int = gb._reduce_int
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            raise AssertionError(f"more than {budget} reductions")
+        out = reduce_int(*args)
+        if any(abs(c).bit_length() > max_bits for c in out.values()):
+            raise AssertionError(f"a coefficient wider than {max_bits} bits")
+        return out
+
+    monkeypatch.setattr(gb, "_reduce_int", counted)
+
+
+def test_sugar_selection_keeps_132654_cheap(monkeypatch):
+    # Picking pairs by lcm alone wanders through degree 19 and thousands
+    # of reductions on this case; by sugar it needs about ninety.
+    _reduction_budget(monkeypatch, 200)
+    ring = matrix_ring(6, "diag")
+    gens = gb.fulton_generators(perms.perm_from_text("132654"), ring)
+    basis = gb.buchberger(gens, use_cache=False)
+    assert len(basis) == 22
+    assert max(p.degree() for p in basis) <= 8
+
+
+def test_non_homogeneous_lex_input_stays_cheap(monkeypatch):
+    # Selecting these pairs by degree or by sugar runs past degree 100
+    # with coefficients of thousands of bits; by lcm it takes 146 steps
+    # and 88-bit coefficients.
+    _reduction_budget(monkeypatch, 400, max_bits=256)
+    ring = matrix_ring(2, "diag")
+    raw = [
+        [([2, 1, 1, 0], 3), ([2, 2, 1, 1], 3), ([1, 1, 1, 1], -3)],
+        [([1, 2, 2, 2], -3), ([2, 0, 1, 0], -2), ([1, 1, 1, 0], 3)],
+        [([1, 0, 0, 0], 1), ([2, 1, 1, 1], 1), ([2, 0, 0, 2], -2)],
+    ]
+    gens = [Poly(ring, [(ring.encode(v), c) for v, c in terms]) for terms in raw]
+    basis = gb.buchberger(gens, use_cache=False)
+    assert len(basis) == 7
+    assert gb.is_groebner(basis)
+
+
 def test_antidiagonal_fulton_generators_are_groebner_s4():
     ring = matrix_ring(4, "antidiag")
     for w in perms.all_perms(4):
@@ -263,6 +319,19 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     files[0].write_text("not json")
     third = gb.buchberger(gens, use_cache=True)
     assert [p.terms for p in first] == [p.terms for p in third]
+
+
+def test_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(tmp_path))
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    ring = matrix_ring(4, "diag")
+    gens = gb.fulton_generators((2, 1, 4, 3), ring)
+    assert gb.buchberger(gens) == gb.buchberger(gens, use_cache=False)
+    assert list(tmp_path.iterdir()) == []
 
 
 mono2 = st.lists(st.integers(min_value=0, max_value=2), min_size=4, max_size=4)

@@ -72,6 +72,33 @@ def test_encode_decode_round_trip(vec):
         assert ring.decode(ring.encode(vec)) == tuple(vec)
 
 
+DEGREE_RINGS = [
+    matrix_ring(n, spec)
+    for n in (3, 7)
+    for spec in ("diag", "antidiag", "col-lex", "yref:2,3:diag", "tau:2,3")
+]
+
+
+@given(st.data())
+def test_degree_is_the_exponent_sum(data):
+    ring = data.draw(st.sampled_from(DEGREE_RINGS))
+    size = len(ring.names)
+    top = (1 << 15) - 1
+    vec = data.draw(
+        st.lists(st.integers(min_value=0, max_value=top), min_size=size, max_size=size)
+    )
+    m = ring.encode(vec)
+    assert ring.degree(m) == sum(ring.decode(m)) == sum(vec)
+
+
+def test_degree_of_the_all_maximum_monomial():
+    top = (1 << 15) - 1
+    for ring in DEGREE_RINGS:
+        m = ring.encode([top] * len(ring.names))
+        assert ring.degree(m) == sum(ring.decode(m)) == top * len(ring.names)
+        assert ring.degree(0) == 0
+
+
 @given(exps3, exps3)
 def test_divides_matches_componentwise(u, v):
     for ring in (R_DIAG, R_REFINED):
