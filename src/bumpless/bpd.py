@@ -83,9 +83,9 @@ def validate_bpd(grid) -> Bpd:
     return rows
 
 
-def _trace(rows: Bpd) -> tuple[Perm, dict[Cell, tuple[int, int]]]:
-    """Follow every pipe from its bottom entry; return the permutation and,
-    for each crossing cell, the (vertical pipe, horizontal pipe) labels."""
+def _trace(rows: Bpd) -> Perm:
+    """Follow every pipe from its bottom entry and return the permutation;
+    raise unless the pipes exit one per row and cross at most once."""
     n = len(rows)
     exit_rows: dict[int, int] = {}
     vertical_at: dict[Cell, int] = {}
@@ -135,12 +135,12 @@ def _trace(rows: Bpd) -> tuple[Perm, dict[Cell, tuple[int, int]]]:
     word = [0] * n
     for start, row in exit_rows.items():
         word[row - 1] = start
-    return tuple(word), {c: (vertical_at[c], horizontal_at[c]) for c in vertical_at}
+    return tuple(word)
 
 
 def permutation_of(B: Bpd) -> Perm:
     """The permutation sending each exit row to the label of its pipe."""
-    return _trace(B)[0]
+    return _trace(B)
 
 
 def diagram(B: Bpd) -> frozenset[Cell]:
@@ -148,13 +148,6 @@ def diagram(B: Bpd) -> frozenset[Cell]:
     n = len(B)
     return frozenset(
         (i, j) for i in range(1, n + 1) for j in range(1, n + 1) if B[i - 1][j - 1] == "."
-    )
-
-
-def crossing_cells(B: Bpd) -> frozenset[Cell]:
-    n = len(B)
-    return frozenset(
-        (i, j) for i in range(1, n + 1) for j in range(1, n + 1) if B[i - 1][j - 1] == "+"
     )
 
 

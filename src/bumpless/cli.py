@@ -179,12 +179,20 @@ VERIFIERS = {
     "ycompat": "verify_ycompat",
     "hilbert": "verify_hilbert_transition",
 }
+# The targets that read --order or --corner; the flag on any other target
+# is invalid input rather than silently ignored.
+_TAKES_ORDER = {"main", "ycompat", "hilbert"}
+_TAKES_CORNER = {"transition", "groth-transition", "linkdecomp", "ycompat", "hilbert"}
 
 
 def _verify_cases(args) -> list[tuple]:
     """Cases for the explicit inputs as one family, or for each member of
     the swept group as a family of its own."""
-    kind, order = args.target, args.order
+    kind = args.target
+    for flag, takers in (("order", _TAKES_ORDER), ("corner", _TAKES_CORNER)):
+        if getattr(args, flag) is not None and kind not in takers:
+            raise ValueError(f"verify {kind} takes no --{flag}")
+    order = args.order or "diag"
     corner = _cell(args.corner) if args.corner else None
     if args.all_sn is not None:
         sweep = asm_mod.all_asms if kind == "asm" else perms.all_perms
@@ -207,7 +215,7 @@ def _verify_cases(args) -> list[tuple]:
             elif args.all_sn is None:
                 raise ValueError("no accessible cell; pass --corner")
         else:
-            extra = (order,) if kind == "hilbert" else ()
+            extra = (order,) if kind in _TAKES_ORDER else ()
             for w in ws:
                 for c in [corner] if corner else sorted(perms.lower_outside_corners(w)):
                     cases.append((kind, w, c, *extra))
@@ -300,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="*", help="permutations (or ASMs for asm)")
     p.add_argument("--all-sn", type=int, default=None, metavar="N",
                    help="sweep every case at matrix size N")
-    p.add_argument("--corner", default=None, help="cell a,b")
-    p.add_argument("--order", default="diag")
+    p.add_argument("--corner", default=None, help="cell a,b (not main, theoremB, asm)")
+    p.add_argument("--order", default=None, help="default diag; main, hilbert, ycompat")
     p.set_defaults(fn=cmd_verify)
     return top
 

@@ -220,8 +220,6 @@ def buchberger(gens, use_cache: bool = True) -> list[Poly]:
 
     while heap:
         _, tau, i, j = heapq.heappop(heap)
-        if (i, j) not in alive:
-            continue
         alive.discard((i, j))
         if tau == lms[i] + lms[j]:
             continue

@@ -72,7 +72,6 @@ def rank_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
     """The full (n+1) x (n+1) table of rank_function values, 0-row/col included."""
     n = len(w)
     rows = [(0,) * (n + 1)]
-    count = [0] * (n + 1)
     for i in range(1, n + 1):
         prev = rows[-1]
         v = w[i - 1]
@@ -161,11 +160,6 @@ def bruhat_covers(w: Perm) -> set[Perm]:
             if coxeter_length(v) == target:
                 out.add(v)
     return out
-
-
-def descents(w: Perm) -> list[int]:
-    """Positions i with w(i) > w(i+1)."""
-    return [i for i in range(1, len(w)) if w[i - 1] > w[i]]
 
 
 def all_perms(n: int) -> Iterator[Perm]:

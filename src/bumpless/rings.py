@@ -368,9 +368,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading term")
         return max(self.terms)
 
-    def leading_coefficient(self):
-        return self.terms[self.leading_monomial()]
-
     def coefficient(self, m):
         return self.terms.get(m, 0)
 

@@ -1,13 +1,21 @@
 """Schubert and Grothendieck polynomials, by operators and by tilings.
 
-Conventions are additive throughout: the double polynomial for the
-longest permutation is the staircase product of (x_i + y_j), its
-K-theory deformation uses x + y + beta*x*y, and variables y never
-carry a sign.  Under this convention the double polynomial of w is
-literally the lowest-degree part of the K-polynomial of its matrix
-Schubert variety in the row-times-column grading, specializing beta
-to zero recovers the cohomology polynomial, and every coefficient of
-every polynomial here is a nonnegative integer.
+Each family is named once, by a tag in ``_FAMILIES`` giving its cell
+factor and its step operator.  The operator route multiplies the factor
+over the staircase cells i + j <= n and steps down once per ascent; the
+tiling route multiplies it over the blank cells of each droop tiling.
+
+    tag  family                  factor                 step
+    "S"  double Schubert         x_i + y_j              divided_difference
+    "G"  double Grothendieck     x_i + y_j + beta*x*y   isobaric_divided_difference
+    "s"  single Schubert         x_i                    divided_difference
+
+Conventions are additive throughout: the factors are sums and variables
+y never carry a sign.  Under this convention the double polynomial of w
+is literally the lowest-degree part of the K-polynomial of its matrix
+Schubert variety in the row-times-column grading, specializing beta to
+zero recovers the cohomology polynomial, and every coefficient of every
+polynomial here is a nonnegative integer.
 """
 
 from __future__ import annotations
@@ -82,90 +90,86 @@ def divided_difference(f: Poly, i: int) -> Poly:
 
 
 def isobaric_divided_difference(f: Poly, i: int) -> Poly:
-    """The beta-deformed operator; the ring must carry the beta variable."""
-    ring = f.ring
-    beta = Poly.variable(ring, BETA)
-    lifted = (1 + beta * xvar(ring, i + 1)) * f
-    swapped = (1 + beta * xvar(ring, i)) * swap_adjacent_x(f, i)
-    return exact_divide(lifted - swapped, xvar(ring, i) - xvar(ring, i + 1))
+    """The beta-deformed operator, the divided difference of
+    (1 + beta*x_{i+1})*f; the ring must carry the beta variable."""
+    lifted = (1 + Poly.variable(f.ring, BETA) * xvar(f.ring, i + 1)) * f
+    return divided_difference(lifted, i)
 
 
-def _staircase(ring: Ring, n: int, deformed: bool) -> Poly:
+def _product(ring: Ring, cells, factor) -> Poly:
     total = Poly.constant(ring, 1)
-    beta = Poly.variable(ring, BETA) if deformed else None
-    for i in range(1, n):
-        for j in range(1, n - i + 1):
-            factor = xvar(ring, i) + yvar(ring, j)
-            if deformed:
-                factor = factor + beta * xvar(ring, i) * yvar(ring, j)
-            total = total * factor
+    for i, j in cells:
+        total = total * factor(ring, i, j)
     return total
 
+
+def _circ(ring: Ring, i: int, j: int) -> Poly:
+    xi, yj = xvar(ring, i), yvar(ring, j)
+    return xi + yj + Poly.variable(ring, BETA) * xi * yj
+
+
+# tag -> (staircase factor, step operator name).  The step is looked up by
+# name at call time, so an operator rebound on this module is the one used.
+_FAMILIES = {
+    "S": (lambda ring, i, j: xvar(ring, i) + yvar(ring, j), "divided_difference"),
+    "G": (_circ, "isobaric_divided_difference"),
+    "s": (lambda ring, i, j: xvar(ring, i), "divided_difference"),
+}
 
 _MEMO: dict[tuple, Poly] = {}
 
 
-def _by_descents(w: Perm, ring: Ring, top: Poly, step, tag: str) -> Poly:
+def _by_descents(w: Perm, ring: Ring, tag: str) -> Poly:
+    """The staircase is built only on a memo miss at the longest word."""
     n = len(w)
     key = (tag, ring, w)
     got = _MEMO.get(key)
     if got is not None:
         return got
+    factor, step = _FAMILIES[tag]
     if w == longest_element(n):
-        val = top
+        staircase = ((i, j) for i in range(1, n) for j in range(1, n - i + 1))
+        val = _product(ring, staircase, factor)
     else:
         i = next(i for i in range(1, n) if w[i - 1] < w[i])
-        higher = _by_descents(apply_transposition(w, i, i + 1), ring, top, step, tag)
-        val = step(higher, i)
+        higher = _by_descents(apply_transposition(w, i, i + 1), ring, tag)
+        val = globals()[step](higher, i)
     _MEMO[key] = val
     return val
 
 
 def schubert_poly(w: Perm, ring: Ring) -> Poly:
     """Double polynomial via divided differences down from the staircase."""
-    n = ring_size(ring)
-    w = pad(w, n)
-    return _by_descents(w, ring, _staircase(ring, n, False), divided_difference, "S")
+    return _by_descents(pad(w, ring_size(ring)), ring, "S")
 
 
 def grothendieck_poly(w: Perm, ring: Ring) -> Poly:
     """Double K-polynomial via isobaric operators; ring needs beta."""
-    n = ring_size(ring)
-    w = pad(w, n)
-    return _by_descents(
-        w, ring, _staircase(ring, n, True), isobaric_divided_difference, "G"
-    )
+    return _by_descents(pad(w, ring_size(ring)), ring, "G")
 
 
 def single_schubert_poly(w: Perm, ring: Ring) -> Poly:
     """One-variable-family polynomial, down from x1^(n-1)*x2^(n-2)*..."""
-    n = ring_size(ring)
-    w = pad(w, n)
-    top = Poly.constant(ring, 1)
-    for i in range(1, n):
-        top = top * xvar(ring, i) ** (n - i)
-    return _by_descents(w, ring, top, divided_difference, "s")
+    return _by_descents(pad(w, ring_size(ring)), ring, "s")
 
 
 def bpd_schubert_poly(w: Perm, ring: Ring) -> Poly:
     """Double polynomial as a sum over the droop tilings of w: each tiling
     contributes the product of (x_i + y_j) over its blank cells."""
-    return _tiling_sum(w, ring, lambda i, j: xvar(ring, i) + yvar(ring, j))
+    return _tiling_sum(w, ring, "S")
 
 
 def bpd_single_schubert_poly(w: Perm, ring: Ring) -> Poly:
     """Row-weight specialization of the tiling sum (y set to zero)."""
-    return _tiling_sum(w, ring, lambda i, j: xvar(ring, i))
+    return _tiling_sum(w, ring, "s")
 
 
-def _tiling_sum(w: Perm, ring: Ring, weight) -> Poly:
+def _tiling_sum(w: Perm, ring: Ring, tag: str) -> Poly:
     w = pad(w, ring_size(ring))
+    factor = _FAMILIES[tag][0]
     total = Poly.zero(ring)
     for grid in sorted(bpd_mod.enumerate_bpds(w)):
-        piece = Poly.constant(ring, 1)
-        for i, j in sorted(bpd_mod.diagram(grid)):
-            piece = piece * weight(i, j)
-        total = total + piece
+        total = total + _product(ring, sorted(bpd_mod.diagram(grid)), factor)
     return total
 
 

@@ -7,12 +7,24 @@ of initial ideals against tiling diagrams, and checking the polynomial
 recurrences those degenerations induce.  Each verifier returns a
 machine-readable report dict rather than raising on a mismatch, so a
 failure pinpoints the offending prime, diagram, or polynomial.
+
+The three polynomial recurrences at a corner are one check,
+F(w) = c1*F(v) + c2 * sum over nonempty U in phi of r**(|U|-1) * F(target(U)):
+
+    family           F                  c1             c2              r
+    double Schubert  schubert_poly      x_a + y_b      1               0
+    Grothendieck     grothendieck_poly  circ           1 + beta*circ   beta
+    Hilbert series   k_of_quotient      1 - x_a*y_b    x_a*y_b         -1
+
+where circ = x_a + y_b + beta*x_a*y_b.  With r = 0 only the singletons
+of phi contribute: the cohomology recurrence is the K-theory one at
+beta = 0 (Lascoux, Transition on Grothendieck polynomials, 2001).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 
 from . import asm as asm_mod
@@ -33,6 +45,7 @@ from .monomial import MonomialIdeal, grading_images, prime_names
 from .rings import Poly, Ring, matrix_ring
 from .schubert import (
     BETA,
+    _circ,
     double_ring,
     grothendieck_poly,
     grothendieck_ring,
@@ -132,28 +145,32 @@ def _case_name(ws, corner: Cell | None = None) -> str:
     return words if corner is None else f"{words}@{corner[0]},{corner[1]}"
 
 
-def _difference_report(w, corner: Cell, statement: str, diff: Poly) -> dict:
+def _corner_recurrence(td: TransitionData, statement: str, F, c1, c2, ratio) -> dict:
+    """The corner check of the module docstring, with r = ratio; a subset
+    whose weight is zero is never evaluated."""
+    lhs = F(td.w)
+    tail = Poly.zero(lhs.ring)
+    for k in range(1, len(td.phi) + 1):
+        weight = ratio ** (k - 1)
+        if not weight:
+            continue
+        for U in combinations(td.phi, k):
+            tail = tail + weight * F(transition_target(td, U))
+    diff = lhs - (c1 * F(td.v) + c2 * tail)
     witness = {} if diff.is_zero else {"difference": diff.to_text()}
-    return _report(_case_name([w], corner), statement, diff.is_zero, witness)
-
-
-def _subsets(phi):
-    for k in range(1, len(phi) + 1):
-        yield from combinations(phi, k)
+    return _report(_case_name([td.w], td.corner), statement, diff.is_zero, witness)
 
 
 def verify_schubert_transition(w, corner: Cell) -> dict:
     """Corner recurrence for double Schubert polynomials: the corner
     factor times the shorter polynomial plus the length-preserving
-    exchanges gives back the original polynomial."""
+    exchanges (the singletons of phi) gives back the original."""
     td = transition_data(w, corner)
     a, b = corner
     T = double_ring(len(w))
-    lhs = schubert_poly(w, T)
-    rhs = (xvar(T, a) + yvar(T, b)) * schubert_poly(td.v, T)
-    for u in td.Phi:
-        rhs = rhs + schubert_poly(u, T)
-    return _difference_report(w, corner, "schubert-transition", lhs - rhs)
+    F = partial(schubert_poly, ring=T)
+    c1 = xvar(T, a) + yvar(T, b)
+    return _corner_recurrence(td, "schubert-transition", F, c1, 1, 0)
 
 
 def verify_grothendieck_transition(w, corner: Cell) -> dict:
@@ -163,16 +180,11 @@ def verify_grothendieck_transition(w, corner: Cell) -> dict:
     a, b = corner
     G = grothendieck_ring(len(w))
     beta = Poly.variable(G, BETA)
-    xa, yb = xvar(G, a), yvar(G, b)
-    circ = xa + yb + beta * xa * yb
-    lhs = grothendieck_poly(w, G)
-    tail = Poly.zero(G)
-    for U in _subsets(td.phi):
-        tail = tail + beta ** (len(U) - 1) * grothendieck_poly(
-            transition_target(td, U), G
-        )
-    rhs = circ * grothendieck_poly(td.v, G) + (1 + beta * circ) * tail
-    return _difference_report(w, corner, "grothendieck-transition", lhs - rhs)
+    circ = _circ(G, a, b)
+    F = partial(grothendieck_poly, ring=G)
+    return _corner_recurrence(
+        td, "grothendieck-transition", F, circ, 1 + beta * circ, beta
+    )
 
 
 _K_MEMO: dict[tuple, Poly] = {}
@@ -196,16 +208,10 @@ def verify_hilbert_transition(w, corner: Cell, order: str = "diag") -> dict:
     td = transition_data(w, corner)
     a, b = corner
     n = len(w)
-    R = matrix_ring(n, order)
     T = double_ring(n)
+    F = partial(k_of_quotient, R=matrix_ring(n, order), T=T)
     xy = xvar(T, a) * yvar(T, b)
-    lhs = k_of_quotient(w, R, T)
-    tail = Poly.zero(T)
-    for U in _subsets(td.phi):
-        term = k_of_quotient(transition_target(td, U), R, T)
-        tail = tail + (-1) ** (len(U) - 1) * term
-    rhs = (1 - xy) * k_of_quotient(td.v, R, T) + xy * tail
-    return _difference_report(w, corner, "hilbert-transition", lhs - rhs)
+    return _corner_recurrence(td, "hilbert-transition", F, 1 - xy, xy, -1)
 
 
 def _texts(polys) -> list[str]:
@@ -221,8 +227,7 @@ def verify_link_decomposition(w, corner: Cell) -> dict:
     a, b = corner
     n = len(w)
     R = matrix_ring(n, f"tau:{a},{b}")
-    gb = buchberger(fulton_generators(w, R))
-    C, N = cell_split(gb, corner)
+    C, N = _split_at(fulton_generators(w, R), corner)
     failures = {}
 
     if not ideal_equal(N, fulton_generators(td.v, R)):
@@ -381,7 +386,7 @@ def verify_theorem_B(w) -> dict:
     )
 
 
-def _split_at(gens, corner: Cell, ring: Ring):
+def _split_at(gens, corner: Cell):
     gb = buchberger(gens)
     return cell_split(gb, corner)
 
@@ -413,11 +418,11 @@ def verify_intersectNs(ws, corner: Cell) -> dict:
     a, b = corner
     R = matrix_ring(n, f"tau:{a},{b}")
     _, N_whole = _split_at(
-        intersect_many([fulton_generators(w, R) for w in ws]), corner, R
+        intersect_many([fulton_generators(w, R) for w in ws]), corner
     )
     parts = []
     for w in ws:
-        _, N_w = _split_at(fulton_generators(w, R), corner, R)
+        _, N_w = _split_at(fulton_generators(w, R), corner)
         parts.append(N_w)
     combined = intersect_many(parts)
     ok = ideal_equal(N_whole, combined)

@@ -68,6 +68,43 @@ def test_bad_input_exits_two(capsys):
     assert run(capsys, "mono", "ass", "q^2")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theoremB", "2143", "--order", "diag"],
+        ["asm", "2143", "--order", "antidiag"],
+        ["transition", "2143", "--corner", "3,3", "--order", "antidiag"],
+        ["groth-transition", "2143", "--order", "diag"],
+        ["linkdecomp", "--all-sn", "3", "--order", "antidiag"],
+        ["main", "2143", "--corner", "3,3"],
+        ["theoremB", "2143", "--corner", "3,3"],
+        ["asm", "--all-sn", "3", "--corner", "3,3"],
+    ],
+)
+def test_flag_the_target_does_not_read_is_a_usage_error(capsys, argv):
+    flag = "--corner" if "--corner" in argv and "--order" not in argv else "--order"
+    assert cli.main(["--workers", "1", "verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: verify {argv[0]} takes no {flag}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["main", "21", "--order", "diag"],
+        ["ycompat", "2143", "--corner", "3,3", "--order", "diag"],
+        ["hilbert", "2143", "--corner", "3,3", "--order", "antidiag"],
+        ["transition", "2143", "--corner", "3,3"],
+        ["linkdecomp", "2143", "--corner", "3,3"],
+    ],
+)
+def test_flags_the_target_reads_are_accepted(capsys, argv):
+    code, out = run(capsys, "--workers", "1", "verify", *argv)
+    assert code == 0
+    assert out.endswith("1 passed, 0 failed\n")
+
+
 def test_failed_case_exits_one(capsys, monkeypatch):
     def rigged(case):
         return {"case": "x", "statement": "s", "status": "fail", "witness": {}}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bumpless import bpd
+from bumpless import bpd, schubert
 from bumpless.groebner import buchberger, fulton_generators, initial_ideal
 from bumpless.monomial import MonomialIdeal, grading_images
 from bumpless.rings import Poly, matrix_ring
@@ -84,6 +84,31 @@ def test_grothendieck_top_term_count():
     s = schubert_poly((2, 1, 4, 3), G4)
     assert len(g.terms) > len(s.terms)
     assert all(c != 0 for c in g.terms.values())
+
+
+def test_staircase_is_built_once_per_family_and_ring(monkeypatch):
+    # Repeated calls on equal (not identical) rings hit the memo; the
+    # top of each family is multiplied out once, on the first call.
+    monkeypatch.setattr(schubert, "_MEMO", {})
+    builds = []
+    product = schubert._product
+
+    def counted(ring, cells, factor):
+        builds.append(ring)
+        return product(ring, cells, factor)
+
+    monkeypatch.setattr(schubert, "_product", counted)
+    families = [
+        (schubert_poly, double_ring),
+        (grothendieck_poly, grothendieck_ring),
+        (single_schubert_poly, x_ring),
+    ]
+    first = {(f, w): f(w, ring(4)) for f, ring in families for w in S4}
+    for f, ring in families:
+        for w in reversed(S4):
+            assert f(w, ring(4)) == first[f, w]
+    assert builds == [double_ring(4), grothendieck_ring(4), x_ring(4)]
+    assert len(schubert._MEMO) == 3 * len(S4)
 
 
 def test_principal_value_counts_tilings():
