@@ -88,6 +88,8 @@ def cmd_bpd(args) -> int:
 
 
 def cmd_poly(args) -> int:
+    if args.beta is not None and args.kind != "groth":
+        raise ValueError(f"poly {args.kind} takes no --beta")
     w = _perm(args.word)
     n = len(w)
     if args.kind == "schubert":
@@ -124,6 +126,8 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_mono(args) -> int:
+    if args.grading is not None and args.action in ("decompose", "ass"):
+        raise ValueError(f"mono {args.action} takes no --grading")
     J = _monomial_ideal(args.ideal, args.order)
     ring = J.ring
     if args.action == "decompose":
@@ -137,14 +141,15 @@ def cmd_mono(args) -> int:
         names = [list(prime_names(ring, P)) for P in J.associated_primes()]
         _emit(args, [" , ".join(p) for p in names], {"primes": names})
     else:
+        grading = args.grading or "rows-columns"
         n = max(int(v) for nm in ring.names for v in re.findall(r"\d+", nm))
-        if args.grading == "standard":
+        if grading == "standard":
             target = lex_ring(("q",))
-        elif args.grading == "rows":
+        elif grading == "rows":
             target = x_ring(n)
         else:
             target = double_ring(n)
-        images = grading_images(ring, target, args.grading)
+        images = grading_images(ring, target, grading)
         grade = J.multidegree if args.action == "multidegree" else J.k_polynomial
         f = grade(target, images)
         _emit(args, [f.to_text()], {"poly": f.term_map()})
@@ -278,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poly", help="Schubert and Grothendieck polynomials")
     p.add_argument("kind", choices=("schubert", "dschubert", "groth"))
     p.add_argument("word")
-    p.add_argument("--beta", type=int, default=None, help="substitute beta")
+    p.add_argument("--beta", type=int, default=None, help="substitute beta (groth only)")
     p.set_defaults(fn=cmd_poly)
 
     p = sub.add_parser("ideal", help="determinantal generators and bases")
@@ -294,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--grading",
         choices=("standard", "rows", "rows-columns"),
-        default="rows-columns",
+        default=None,
+        help="default rows-columns; kpoly and multidegree only",
     )
     p.set_defaults(fn=cmd_mono)
 

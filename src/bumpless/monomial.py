@@ -2,14 +2,13 @@
 
 Monomials are the packed integers of a ring from the rings module.
 Every routine here is exact: multiplicities come from counting
-standard monomials of localizations, associated primes from an
-irreducible decomposition checked by a socle witness, K-polynomials
+standard monomials of localizations, minimal and associated primes
+from the irredundant irreducible decomposition (built one generator at
+a time; its radicals are exactly the associated primes), K-polynomials
 from the colon exact sequence, memoized on the generator set.
 """
 
 from __future__ import annotations
-
-from itertools import product as _cartesian
 
 from .rings import Poly, Ring
 
@@ -115,87 +114,76 @@ class MonomialIdeal:
         )
 
     def irreducible_components(self) -> list["MonomialIdeal"]:
-        """Ideals generated by pure powers whose intersection is this one.
+        """The unique irredundant decomposition of this ideal into ideals
+        generated by pure powers, sorted by their generators.
 
-        The list covers the unique irredundant irreducible decomposition
-        but may carry redundant extras.
+        Built one generator at a time, smallest support first: by
+        distributivity, adding m keeps each component that contains m
+        and splits every other component Q into Q + (x_v^{m_v}), one per
+        variable v of m.  A kept component never contains a split (it
+        would contain the old component the split came from), and a
+        split that is strictly inside another has fewer generators or a
+        larger exponent sum, so taking the splits in that order and
+        dropping each one that contains a component already taken
+        leaves exactly the irredundant ones.
         """
         if self.is_zero:
             return []
+        if self.is_unit:
+            return [self]
         dec = self.ring.decode
         units = self.ring._units
-        leaves: set[tuple[int, ...]] = set()
-        seen: set[tuple[int, ...]] = set()
-        stack = [self.gens]
-        while stack:
-            gens = stack.pop()
-            if gens in seen:
-                continue
-            seen.add(gens)
-            splittable = None
-            for g in gens:
-                sup = [(v, e) for v, e in enumerate(dec(g)) if e]
-                if len(sup) > 1:
-                    splittable = (g, sup)
-                    break
-            if splittable is None:
-                leaves.add(gens)
-                continue
-            g, sup = splittable
-            rest = tuple(x for x in gens if x != g)
-            v, e = sup[0]
-            head = e * units[v]
-            stack.append(_minimalize(self.ring, rest + (head,)))
-            stack.append(_minimalize(self.ring, rest + (g - head,)))
-        return [
-            MonomialIdeal(self.ring, gens) for gens in sorted(leaves)
-        ]
+        supports = sorted(
+            ([(v, e) for v, e in enumerate(dec(g)) if e] for g in self.gens),
+            key=len,
+        )
+        # A component is a dict {v: a}: the ideal of the powers x_v^a.
+        comps: list[dict[int, int]] = [{}]
+        for m in supports:
+            kept: list[dict[int, int]] = []
+            splits: list[dict[int, int]] = []
+            for Q in comps:
+                if any(0 < Q.get(v, 0) <= e for v, e in m):
+                    kept.append(Q)
+                else:
+                    splits.extend({**Q, v: e} for v, e in m)
+            splits.sort(key=lambda Q: (len(Q), -sum(Q.values())))
+            for N in splits:
+                if not any(
+                    len(Q) <= len(N)
+                    and all(0 < N.get(v, 0) <= a for v, a in Q.items())
+                    for Q in kept
+                ):
+                    kept.append(N)
+            comps = kept
+        return sorted(
+            (
+                MonomialIdeal(self.ring, (a * units[v] for v, a in Q.items()))
+                for Q in comps
+            ),
+            key=lambda Q: Q.gens,
+        )
 
-    def _socle_witness(self, S: frozenset[int]) -> bool:
-        J = self.restricted(S)
-        if J.is_unit:
-            return False
-        dec = self.ring.decode
-        caps = [0] * len(self.ring.names)
-        for g in J.gens:
-            for v, e in enumerate(dec(g)):
-                if e > caps[v]:
-                    caps[v] = e
-        vars_sorted = sorted(S)
-        if any(caps[v] == 0 for v in vars_sorted):
-            return False
-        units = self.ring._units
-        ranges = [range(caps[v]) for v in vars_sorted]
-        for exps in _cartesian(*ranges):
-            m = sum(e * units[v] for v, e in zip(vars_sorted, exps))
-            if J.contains(m):
-                continue
-            if all(J.contains(m + units[v]) for v in vars_sorted):
-                return True
-        return False
+    def _supports(self) -> set[frozenset[int]]:
+        # A component's generators are powers of distinct variables, so
+        # their sum is a monomial with the component's support.
+        return {self.support(sum(Q.gens)) for Q in self.irreducible_components()}
 
     def associated_primes(self) -> list[frozenset[int]]:
-        """Supports of the associated primes, smallest first."""
+        """Supports of the associated primes, smallest first: the radicals
+        of the irredundant irreducible components."""
         if self.is_zero:
             return [frozenset()]
         if self.is_unit:
             return []
-        cands = {
-            frozenset().union(*(self.support(g) for g in Q.gens))
-            for Q in self.irreducible_components()
-        }
-        good = [S for S in cands if self._socle_witness(S)]
-        return sorted(good, key=lambda S: (len(S), sorted(S)))
+        return sorted(self._supports(), key=lambda S: (len(S), sorted(S)))
 
     def minimal_primes(self) -> list[frozenset[int]]:
         if self.is_zero:
             return [frozenset()]
         if self.is_unit:
             return []
-        rads = {
-            frozenset().union(*(self.support(g) for g in Q.gens))
-            for Q in self.irreducible_components()
-        }
+        rads = self._supports()
         keep = [S for S in rads if not any(T < S for T in rads)]
         return sorted(keep, key=lambda S: (len(S), sorted(S)))
 

@@ -137,6 +137,31 @@ def test_mono_commands(capsys):
     assert out.strip() == "x1^2 + x1*x2 + 2*x1*y1 + x1*y2 + x2*y1 + y1^2 + y1*y2"
 
 
+def test_decompose_prints_only_irredundant_components(capsys):
+    # (z[1,1], z[2,1]) contains the component (z[1,1]), so it is not listed.
+    code, out = run(capsys, "mono", "decompose", "z[1,1]*z[2,1], z[1,1]*z[2,2]")
+    assert code == 0
+    assert out == "z[2,1] , z[2,2]\nz[1,1]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["poly", "schubert", "21", "--beta", "1"], "poly schubert takes no --beta"),
+        (["poly", "dschubert", "21", "--beta", "0"], "poly dschubert takes no --beta"),
+        (["mono", "decompose", "z[1,1]", "--grading", "rows"],
+         "mono decompose takes no --grading"),
+        (["mono", "ass", "z[1,1]", "--grading", "rows-columns"],
+         "mono ass takes no --grading"),
+    ],
+)
+def test_flag_the_action_does_not_read_is_a_usage_error(capsys, argv, message):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_beta_substitution(capsys):
     code, sym = run(capsys, "poly", "groth", "21")
     assert sym.strip() == "x1*y1*beta + x1 + y1"

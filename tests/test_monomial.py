@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bumpless import bpd
+from bumpless import groebner as gb
 from bumpless.monomial import (
     MonomialIdeal,
     grading_images,
@@ -108,6 +110,26 @@ def test_irreducible_components_multiply_back():
     assert reduce(lambda x, y: x.intersect(y), comps) == J
 
 
+def test_seven_strand_components_are_irredundant():
+    w = (2, 1, 4, 3, 6, 5, 7)
+    for order in ("diag", "col-lex"):
+        ring = matrix_ring(7, order)
+        J = MonomialIdeal(ring, gb.initial_ideal(gb.fulton_generators(w, ring)))
+        assert len(J.irreducible_components()) == 14, order
+        assert len(J.minimal_primes()) == 14, order
+        assert len(J.associated_primes()) == 14, order
+        assert J.degree() == 15 == len(bpd.enumerate_bpds(w)), order
+
+
+def test_seven_strand_degree_counts_tilings():
+    # Not radical: 261 minimal primes carry the 275 tilings.
+    w = (1, 4, 3, 2, 7, 6, 5)
+    ring = matrix_ring(7, "diag")
+    J = MonomialIdeal(ring, gb.initial_ideal(gb.fulton_generators(w, ring)))
+    assert len(J.minimal_primes()) == 261
+    assert J.degree() == 275 == len(bpd.enumerate_bpds(w))
+
+
 def test_embedded_prime_found():
     J = ideal(AB, "a^2", "a*b")
     assert named_primes(AB, J.associated_primes()) == [("a",), ("a", "b")]
@@ -172,6 +194,24 @@ def small_ideals(ring, max_exp, max_gens):
     return st.lists(exps, min_size=1, max_size=max_gens).map(
         lambda rows: MonomialIdeal(ring, (ring.encode(list(r)) for r in rows))
     )
+
+
+def contains_ideal(big, small):
+    return all(big.contains(g) for g in small.gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_ideals(R2, 3, 5))
+def test_irreducible_components_are_the_irredundant_decomposition(J):
+    comps = J.irreducible_components()
+    if J.is_unit:
+        assert comps == [J]
+        return
+    assert comps == sorted(comps, key=lambda C: C.gens)
+    for C in comps:
+        assert all(len(C.support(g)) == 1 for g in C.gens)
+        assert not any(D is not C and contains_ideal(C, D) for D in comps)
+    assert reduce(lambda x, y: x.intersect(y), comps) == J
 
 
 def brute_associated_primes(J):
