@@ -113,8 +113,10 @@ def _bound(asms, pick, op: str, end: str) -> Asm:
     mats = list(asms)
     if not mats:
         raise ValueError(f"{op} of an empty family (supply the {end} element explicitly)")
-    tables = [corner_sums(A) for A in mats]
     n = len(mats[0])
+    if any(len(A) != n for A in mats):
+        raise ValueError("ASMs must share one matrix size")
+    tables = [corner_sums(A) for A in mats]
     merged = [
         [pick(t[i][j] for t in tables) for j in range(n + 1)]
         for i in range(n + 1)

@@ -5,11 +5,13 @@ layout) and the packed terms of the generators, so a hit can never be
 stale: different input, different key.  An entry is a JSON list of
 basis elements, each a list of ``[coefficient, variable, exponent, ...]``
 rows, one row per term, with variables given by their index in the
-ring in increasing order.  An entry that does not decode to such terms
-counts as a miss.  Writes go through a temporary file in the cache
-directory and an atomic rename, which keeps concurrent writers from
-tearing each other's entries; a write that fails removes its temporary
-file and leaves the cache as it was.
+ring in increasing order.  An entry that does not decode to such terms,
+or whose elements do not look like a reduced basis (content one, a
+positive leading coefficient, no leading monomial dividing another),
+counts as a miss and is recomputed and overwritten.  Writes go through
+a temporary file in the cache directory and an atomic rename, which
+keeps concurrent writers from tearing each other's entries; a write
+that fails removes its temporary file and leaves the cache as it was.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import os
 import tempfile
 from contextlib import suppress
+from math import gcd
 from pathlib import Path
 
 from .rings import SLOT_CAP
@@ -59,6 +62,7 @@ def _decode(ring, data) -> list[dict[int, int]] | None:
         return None
     units = ring._units
     basis = []
+    leads = []
     for rows in data:
         if not isinstance(rows, list) or not rows:
             return None
@@ -78,7 +82,16 @@ def _decode(ring, data) -> list[dict[int, int]] | None:
             terms[m] = row[0]
         if len(terms) != len(rows):
             return None
+        lead = max(terms)
+        if terms[lead] < 0 or gcd(*terms.values()) != 1:
+            return None
         basis.append(terms)
+        leads.append(lead)
+    # A divisor packs to a smaller int, so only later leads can be divided.
+    leads.sort()
+    divides = ring.divides
+    if any(divides(a, b) for i, a in enumerate(leads) for b in leads[i + 1:]):
+        return None
     return basis
 
 

@@ -2,6 +2,9 @@
 and the verification harness, with text or JSON output.
 
 Exit codes: 0 success, 1 at least one verification case failed, 2 bad input.
+
+``main`` builds the argument parser once per process and reuses it on
+every call; ``BUMPLESS_WORKERS`` is still read on every call.
 """
 
 from __future__ import annotations
@@ -250,14 +253,24 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _worker_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:  # word it as argparse does for type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"need at least 1 worker, got {n}")
-    return n
+def _at_least_one(need: str):
+    """An argparse type for an int of at least 1; ``need`` words the
+    complaint about a smaller one."""
+
+    def convert(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:  # word it as argparse does for type=int
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"{need}, got {n}")
+        return n
+
+    return convert
+
+
+def _workers_default():
+    return os.environ.get("BUMPLESS_WORKERS", os.cpu_count() or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--format", choices=("text", "json"), default="text")
     top.add_argument(
         "--workers",
-        type=_worker_count,
-        default=os.environ.get("BUMPLESS_WORKERS", os.cpu_count() or 1),
+        type=_at_least_one("need at least 1 worker"),
+        default=_workers_default(),
         help="parallel verification cases (default: available cores)",
     )
     top.add_argument("--cache-dir", help="basis cache directory override")
@@ -312,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification cases")
     p.add_argument("target", choices=VERIFIERS)
     p.add_argument("inputs", nargs="*", help="permutations (or ASMs for asm)")
-    p.add_argument("--all-sn", type=int, default=None, metavar="N",
+    p.add_argument("--all-sn", type=_at_least_one("need a matrix size of at least 1"),
+                   default=None, metavar="N",
                    help="sweep every case at matrix size N")
     p.add_argument("--corner", default=None, help="cell a,b (not main, theoremB, asm)")
     p.add_argument("--order", default=None, help="default diag; main, hilbert, ycompat")
@@ -320,8 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    # The parser outlives the call; the environment is read afresh.
+    _parser.set_defaults(workers=_workers_default())
+    args = _parser.parse_args(argv)
     saved = os.environ.get("BUMPLESS_CACHE_DIR")
     if args.cache_dir:
         os.environ["BUMPLESS_CACHE_DIR"] = args.cache_dir

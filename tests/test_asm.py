@@ -140,6 +140,15 @@ def test_join_meet_reject_empty():
         A.meet([])
 
 
+@pytest.mark.parametrize("op", [A.join, A.meet])
+def test_join_meet_reject_mixed_sizes(op):
+    small = A.from_permutation((1, 2))
+    big = A.from_permutation((1, 2, 3))
+    for mats in ([small, big], [big, small]):
+        with pytest.raises(ValueError, match="ASMs must share one matrix size"):
+            op(mats)
+
+
 ASM3 = list(A.all_asms(3))
 
 

@@ -127,6 +127,14 @@ def test_lattice_commands(capsys):
     assert out == "0 1 0\n1 -1 1\n0 1 0\n"
 
 
+@pytest.mark.parametrize("argv", [["meet", "123", "12"], ["join", "12", "123"]])
+def test_mixed_size_lattice_operation_is_a_usage_error(capsys, argv):
+    assert cli.main(["lattice", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ASMs must share one matrix size\n"
+
+
 def test_mono_commands(capsys):
     code, out = run(capsys, "mono", "ass", "z[1,1]^2*z[2,2], z[1,1]*z[1,2]")
     assert code == 0
@@ -243,8 +251,95 @@ def test_workers_below_one_is_a_usage_error(capsys, monkeypatch, argv, env):
     assert RecordingPool.sizes == []
 
 
+@pytest.mark.parametrize("target", ["asm", "theoremB", "main"])
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_all_sn_below_one_is_a_usage_error(capsys, target, size):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", target, "--all-sn", size])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument --all-sn: need a matrix size of at least 1, got {size}\n"
+    )
+
+
 def test_worker_pool_matches_sequential(capsys):
     seq = run(capsys, "--workers", "1", "verify", "transition", "--all-sn", "3")
     par = run(capsys, "--workers", "2", "verify", "transition", "--all-sn", "3")
     assert seq == par
     assert seq[0] == 0
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    outs = [run(capsys, "bpd", "count", "2143") for _ in range(3)]
+    assert outs == [(0, "3\n")] * 3
+    assert run(capsys, "--format", "json", "poly", "schubert", "21")[0] == 0
+    assert len(built) == 1
+
+
+def test_workers_environment_is_read_on_every_call(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    argv = ("verify", "transition", "--all-sn", "3")
+    for env in ("2", "3", None):
+        if env is None:
+            monkeypatch.delenv("BUMPLESS_WORKERS")
+        else:
+            monkeypatch.setenv("BUMPLESS_WORKERS", env)
+        assert run(capsys, *argv)[0] == 0
+    assert RecordingPool.sizes == [2, 3, 4]
+    monkeypatch.setenv("BUMPLESS_WORKERS", "abc")
+    with pytest.raises(SystemExit):
+        cli.main(list(argv))
+    monkeypatch.setenv("BUMPLESS_WORKERS", "1")
+    assert run(capsys, *argv)[0] == 0
+    assert RecordingPool.sizes == [2, 3, 4]
+
+
+def test_no_option_carries_over_to_the_next_call(capsys, tmp_path, monkeypatch):
+    outer, inner = tmp_path / "outer", tmp_path / "inner"
+    monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(outer))
+    code, first = run(
+        capsys, "--format", "json", "--cache-dir", str(inner), "ideal", "gb", "2143"
+    )
+    assert code == 0
+    generators = json.loads(first)["generators"]
+    code, second = run(capsys, "ideal", "gb", "2143")
+    assert code == 0
+    assert second == "".join(f"{g}\n" for g in generators)
+    assert len(list(inner.glob("gb-*.json"))) == 1
+    assert len(list(outer.glob("gb-*.json"))) == 1
+    assert os.environ["BUMPLESS_CACHE_DIR"] == str(outer)
+
+
+def help_text(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command", [(), ("bpd",), ("poly",), ("ideal",), ("mono",), ("lattice",), ("verify",)]
+)
+def test_help_is_the_same_on_a_reused_parser(capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "_parser", None)
+    first = help_text(capsys, *command)
+    assert first.startswith("usage: bumpless")
+    run(capsys, "--format", "json", "--workers", "1", "verify", "theoremB", "132")
+    run(capsys, "lattice", "meet", "123", "12")
+    run(capsys, "mono", "kpoly", "z[1,1]", "--grading", "standard")
+    for other in ("bpd", "verify"):
+        help_text(capsys, other)
+    assert help_text(capsys, *command) == first

@@ -344,6 +344,30 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     assert [p.terms for p in first] == [p.terms for p in third]
 
 
+@pytest.mark.parametrize("defect", ["content", "negative lead", "dividing lead"])
+def test_cache_entry_that_is_not_a_reduced_basis_is_recomputed(
+    defect, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(tmp_path))
+    ring = matrix_ring(4, "diag")
+    gens = gb.fulton_generators((2, 1, 4, 3), ring)
+    expected = gb.buchberger(gens, use_cache=False)
+    assert gb.buchberger(gens) == expected
+    [path] = tmp_path.glob("gb-*.json")
+    stored = path.read_text()
+    entry = json.loads(stored)
+    assert [[1, 0, 1]] in entry  # z[1,1] is variable 0 and a basis element
+    if defect == "content":
+        entry[-1] = [[2 * row[0], *row[1:]] for row in entry[-1]]
+    elif defect == "negative lead":
+        entry[-1] = [[-row[0], *row[1:]] for row in entry[-1]]
+    else:
+        entry.append([[1, 0, 2]])  # z[1,1]^2, a multiple of the lead z[1,1]
+    path.write_text(json.dumps(entry))
+    assert gb.buchberger(gens) == expected
+    assert path.read_text() == stored
+
+
 def test_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
     monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(tmp_path))
 
