@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 SLOT_BITS = 16
@@ -410,7 +411,13 @@ class Poly:
         """Substitute polynomials for variables, landing in ``target``.
 
         ``images`` maps variable names to Poly or scalar values; names
-        left out are sent to the same-named variable of the target.
+        left out are sent to the same-named variable of the target.  The
+        substitution is simultaneous: every image lands in ``target`` and
+        is never substituted into again, so ``{x1: x2, x2: x1}`` swaps.
+        It runs one source variable at a time: the terms are grouped by
+        that variable's exponent e, each group is mapped over the
+        remaining variables, and the result is multiplied by the cached
+        e-th power of the image and added into one accumulator.
         """
         images = images or {}
         ims = []
@@ -434,14 +441,35 @@ class Poly:
                 cache[e] = got
             return got
 
-        total = Poly.zero(target)
-        for m, c in self.terms.items():
-            piece = Poly.constant(target, c)
-            for v, e in enumerate(self.ring.decode(m)):
-                if e:
-                    piece = piece * power(v, e)
-            total = total + piece
-        return total
+        shifts = self.ring._decode_shifts
+        units = self.ring._units
+
+        def substitute(terms, v):
+            # ``terms`` mentions only source variables v and later.
+            if v == len(ims):
+                return dict(terms)
+            groups = {}
+            for m, c in terms.items():
+                e = m >> shifts[v] & (SLOT_CAP - 1)
+                groups.setdefault(e, {})[m - e * units[v]] = c
+            acc = {}
+            for e, group in groups.items():
+                part = substitute(group, v + 1)
+                factor = power(v, e).terms if e else {0: 1}
+                for pm, pc in factor.items():
+                    for m, c in part.items():
+                        key = m + pm
+                        nc = acc.get(key, 0) + c * pc
+                        if nc:
+                            acc[key] = nc
+                        elif key in acc:
+                            del acc[key]
+            return acc
+
+        out = Poly.__new__(Poly)
+        out.ring = target
+        out.terms = substitute(self.terms, 0)
+        return out
 
     def term_map(self):
         """Monomial-text to coefficient mapping, leading term first."""
@@ -492,7 +520,15 @@ def _primitive(terms):
 
 
 def exact_divide(f, g):
-    """Quotient f/g when the division is exact; ValueError when not."""
+    """Quotient f/g when the division is exact; ValueError when not.
+
+    The remainder's leading monomials come off a max-heap (negated keys
+    on ``heapq``), as in Monagan and Pearce's heap division.  Every
+    monomial that the tail of g touches lies below the term being
+    cancelled, so a key is pushed only when it enters the remainder,
+    and a popped key no longer in it (cancelled, or pushed twice) is
+    skipped.
+    """
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.ring != g.ring:
@@ -502,26 +538,36 @@ def exact_divide(f, g):
     ring = f.ring
     glm = g.leading_monomial()
     glc = g.terms[glm]
+    tail = [(gm, gc) for gm, gc in g.terms.items() if gm != glm]
     rem = dict(f.terms)
+    heap = [-m for m in rem]
+    heapify(heap)
     out = {}
-    while rem:
-        m = max(rem)
+    while heap:
+        m = -heappop(heap)
+        c = rem.pop(m, None)
+        if c is None:
+            continue
         if not ring.divides(glm, m):
             raise ValueError("division is not exact")
-        c = rem[m]
         if isinstance(c, int) and isinstance(glc, int) and c % glc == 0:
             qc = c // glc
         else:
             qc = Fraction(c, glc) if isinstance(c, int) else c / glc
         q = m - glm
         out[q] = qc
-        for gm, gc in g.terms.items():
+        for gm, gc in tail:
             key = gm + q
-            nc = rem.get(key, 0) - qc * gc
-            if nc:
-                rem[key] = nc
-            elif key in rem:
-                del rem[key]
+            old = rem.get(key)
+            if old is None:
+                rem[key] = -qc * gc
+                heappush(heap, -key)
+            else:
+                nc = old - qc * gc
+                if nc:
+                    rem[key] = nc
+                else:
+                    del rem[key]
     return Poly(ring, out)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from . import bpd as bpd_mod
 from .perms import Perm, apply_transposition, longest_element, validate_perm
-from .rings import Poly, Ring, exact_divide, lex_ring
+from .rings import SLOT_CAP, Poly, Ring, exact_divide, lex_ring
 
 BETA = "beta"
 
@@ -72,12 +72,14 @@ def swap_adjacent_x(f: Poly, i: int) -> Poly:
     ring = f.ring
     a = ring.index(f"x{i}")
     b = ring.index(f"x{i + 1}")
-    ua = ring._units[a]
-    ub = ring._units[b]
+    sa = ring._decode_shifts[a]
+    sb = ring._decode_shifts[b]
+    step = ring._units[b] - ring._units[a]
     out = {}
     for m, c in f.terms.items():
-        e = ring.decode(m)
-        out[m + (e[a] - e[b]) * (ub - ua)] = c
+        ea = (m >> sa) & (SLOT_CAP - 1)
+        eb = (m >> sb) & (SLOT_CAP - 1)
+        out[m + (ea - eb) * step] = c
     return Poly(f.ring, out)
 
 

@@ -192,6 +192,56 @@ def test_exact_divide_rejects_inexact():
         exact_divide(f, g)
 
 
+def test_exact_divide_by_divisors_of_three_or_more_terms():
+    x, y, z = zvar(R_DIAG, 1, 1), zvar(R_DIAG, 2, 2), zvar(R_DIAG, 3, 3)
+    divisors = [x + y + z, x * y - 2 * y * z + 3 * z + 1, (x - y) * (y - z) * (x - z)]
+    quotients = [x - y + 5, y * y * z - x + 7, (x + y + z) ** 3 - 4]
+    for g in divisors:
+        for h in quotients:
+            assert exact_divide(g * h, g) == h
+            assert exact_divide(g * h, h) == g
+
+
+def test_exact_divide_with_fraction_coefficients():
+    x, y = zvar(R_DIAG, 1, 1), zvar(R_DIAG, 2, 2)
+    half, third = Fraction(1, 2), Fraction(2, 3)
+    g = third * x - y + 1
+    h = half * x * y + 3 * y - Fraction(5, 7)
+    assert exact_divide(g * h, g) == h
+    assert exact_divide(g * h, h) == g
+    # An int divisor lead that does not divide the dividend's coefficients.
+    assert exact_divide(x + 1, 3 * x + 3) == Poly.constant(R_DIAG, Fraction(1, 3))
+    q = exact_divide(2 * x * x + 2 * x * y + 3 * x + 3 * y, 2 * x + 2 * y)
+    assert q == x + Fraction(3, 2)
+    # Exact int quotients stay ints.
+    q = exact_divide(4 * x * x - 4 * y * y, 2 * x + 2 * y)
+    assert q == 2 * x - 2 * y
+    assert all(type(c) is int for c in q.terms.values())
+
+
+def test_exact_divide_in_a_ring_with_a_repeated_slot():
+    ring = matrix_ring(3, "yref:2,2:diag")
+    a, b, c = zvar(ring, 1, 1), zvar(ring, 2, 2), zvar(ring, 2, 3)
+    g = a * b - b * b + c
+    assert g.leading_monomial() == (b * b).leading_monomial()
+    for h in (a + b, b ** 3 - a * c + 2, (a - c) ** 2 * b):
+        assert exact_divide(g * h, g) == h
+        assert exact_divide(g * h, h) == g
+
+
+def test_exact_divide_finds_a_bad_term_that_surfaces_late():
+    x, y, z = zvar(R_DIAG, 1, 1), zvar(R_DIAG, 1, 2), zvar(R_DIAG, 3, 3)
+    g = x - y
+    # (x - y)(x + y) cancels term by term down to the stray z, which
+    # is smaller than every other term and not a multiple of x.
+    f = x * x - y * y + z
+    with pytest.raises(ValueError, match="division is not exact"):
+        exact_divide(f, g)
+    f = (x * x * x - y * y * y) + x * z * z - y * z * z + y * y * z
+    with pytest.raises(ValueError, match="division is not exact"):
+        exact_divide(f, g)
+
+
 def test_pow_and_scalars():
     x = zvar(R_DIAG, 1, 1)
     y = zvar(R_DIAG, 2, 2)
@@ -238,6 +288,112 @@ def test_map_variables_substitution():
     )
     num = f.map_variables(xy, {"x1": 2, "x2": 3})
     assert num == Poly.constant(xy, 8)
+
+
+XYZ = lex_ring(("x1", "x2", "x3"))
+
+
+def xyz(name, ring=XYZ):
+    return Poly.variable(ring, name)
+
+
+def test_map_variables_swap_is_simultaneous():
+    x1, x2, x3 = xyz("x1"), xyz("x2"), xyz("x3")
+    f = x1**3 * x2 - 2 * x1 * x2**2 * x3 + 5 * x2 + 7
+    swap = {"x1": x2, "x2": x1}
+    g = f.map_variables(XYZ, swap)
+    assert g == x2**3 * x1 - 2 * x2 * x1**2 * x3 + 5 * x1 + 7
+    assert g.map_variables(XYZ, swap) == f
+
+
+def test_map_variables_images_name_later_variables():
+    x1, x2, x3 = xyz("x1"), xyz("x2"), xyz("x3")
+    f = x1**2 * x2 + x1 * x3 - x2
+    g = f.map_variables(XYZ, {"x1": x3 + x2, "x2": x3**2})
+    assert g == (x3 + x2) ** 2 * x3**2 + (x3 + x2) * x3 - x3**2
+
+
+def test_map_variables_into_a_target_with_extra_variables():
+    src = lex_ring(("x1", "x2"))
+    tgt = lex_ring(("t", "x1", "x2", "u"))
+    f = Poly.variable(src, "x1") ** 2 * Poly.variable(src, "x2") - 3
+    t, u = xyz("t", tgt), xyz("u", tgt)
+    g = f.map_variables(tgt, {"x1": t - u})
+    assert g.ring == tgt
+    assert g == (t - u) ** 2 * xyz("x2", tgt) - 3
+    assert f.map_variables(tgt) == f.convert(tgt)
+
+
+def test_map_variables_with_fraction_and_int_images():
+    x1, x2, x3 = xyz("x1"), xyz("x2"), xyz("x3")
+    f = x1**2 * x2 + 4 * x1 * x3 - x3
+    half = Fraction(1, 2)
+    g = f.map_variables(XYZ, {"x1": half, "x2": 3})
+    assert g == Poly(XYZ, {0: Fraction(3, 4)}) + 2 * x3 - x3
+    g = f.map_variables(XYZ, {"x1": half * x2 + 1, "x3": 0})
+    assert g == (half * x2 + 1) ** 2 * x2
+
+
+def test_map_variables_of_zero_and_constants():
+    images = {"x1": xyz("x2") + 1, "x3": 5}
+    zero = Poly.zero(XYZ)
+    assert zero.map_variables(XYZ, images).is_zero
+    assert Poly.constant(XYZ, 4).map_variables(XYZ, images) == 4
+    half = Poly.constant(XYZ, Fraction(1, 2))
+    assert half.map_variables(XYZ, images) == half
+    assert xyz("x1").map_variables(XYZ, {"x1": 0}).is_zero
+
+
+def evaluate(f, point):
+    """Value of f with each variable set from ``point`` (name -> number)."""
+    total = 0
+    for m, c in f.terms.items():
+        for v, e in enumerate(f.ring.decode(m)):
+            c *= point[f.ring.names[v]] ** e
+        total += c
+    return total
+
+
+# Source with a repeated slot; the target has one variable more.
+MAP_SOURCE = Ring(("x1", "x2", "x3"), (1, 0, 2, 1))
+MAP_TARGET = lex_ring(("x1", "x2", "x3", "t"))
+
+
+def poly_in(ring, max_exp, max_terms):
+    exps = st.lists(
+        st.integers(min_value=0, max_value=max_exp),
+        min_size=len(ring.names),
+        max_size=len(ring.names),
+    )
+    coeffs = st.one_of(
+        st.integers(min_value=-4, max_value=4),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    )
+    return st.lists(
+        st.tuples(exps, coeffs), max_size=max_terms
+    ).map(lambda pairs: Poly(ring, [(ring.encode(v), c) for v, c in pairs]))
+
+
+@settings(max_examples=60)
+@given(
+    poly_in(MAP_SOURCE, 3, 5),
+    st.dictionaries(
+        st.sampled_from(MAP_SOURCE.names),
+        st.one_of(st.integers(min_value=-3, max_value=3), poly_in(MAP_TARGET, 2, 3)),
+    ),
+    st.lists(
+        st.integers(min_value=-5, max_value=5), min_size=4, max_size=4
+    ),
+)
+def test_map_variables_commutes_with_evaluation(f, images, values):
+    point = dict(zip(MAP_TARGET.names, values))
+    g = f.map_variables(MAP_TARGET, images)
+    assert g.ring == MAP_TARGET
+    image_values = {}
+    for nm in MAP_SOURCE.names:
+        im = images.get(nm, Poly.variable(MAP_TARGET, nm))
+        image_values[nm] = evaluate(im, point) if isinstance(im, Poly) else im
+    assert evaluate(g, point) == evaluate(f, image_values)
 
 
 def test_text_round_trip_and_format():

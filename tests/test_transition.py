@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bumpless import asm
+from bumpless import bpd as bpd_mod
 from bumpless import perms
 from bumpless import transition as tr
 from bumpless.groebner import (
@@ -237,6 +238,18 @@ def test_theorem_b_dominant_and_identity():
     assert report["status"] == "pass"
     assert report["witness"]["crossing-sets"] == [["z[1,1]", "z[1,2]", "z[2,1]"]]
     assert tr.verify_theorem_B((1, 2, 3))["status"] == "pass"
+
+
+@pytest.mark.parametrize("text", ["165432", "654321"])
+def test_theorem_b_slowest_of_s6(text):
+    """The two slowest members of S6 under theorem B, both dominated by
+    divided differences and the multidegree's substitution."""
+    w = perms.perm_from_text(text)
+    report = tr.verify_theorem_B(w)
+    assert report["status"] == "pass", report
+    assert len(report["witness"]["crossing-sets"]) == len(
+        bpd_mod.enumerate_bpds(w)
+    )
 
 
 def test_linearity_same_length_s4_pairs():
