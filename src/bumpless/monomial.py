@@ -1,14 +1,17 @@
 """Combinatorics of monomial ideals: primes, multiplicities, K-polynomials.
 
 Monomials are the packed integers of a ring from the rings module.
-Every routine here is exact: multiplicities come from counting
-standard monomials of localizations, minimal and associated primes
-from the irredundant irreducible decomposition (built one generator at
-a time; its radicals are exactly the associated primes), K-polynomials
-from the colon exact sequence, memoized on the generator set.
+Every routine here is exact.  Primes and multiplicities read the
+irredundant irreducible decomposition, built one generator at a time
+and grouped by support once per ideal: the supports are exactly the
+associated primes, and the length at a minimal prime counts the
+standard monomials of the components supported on it.  K-polynomials
+come from the colon exact sequence, memoized on the generator set.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .rings import Poly, Ring
 
@@ -22,14 +25,30 @@ def _minimalize(ring: Ring, monomials) -> tuple[int, ...]:
     return tuple(kept)
 
 
+def _box_union(ring: Ring, corners) -> int:
+    """Size of the union of the boxes of standard monomials of corners
+    sharing one support, by inclusion-exclusion: each box adds its size
+    less the union of its meets with the later boxes; two boxes meet in
+    the box of their gcd (the box of ``Q1.plus(Q2)``).  Meets inside
+    other meets add nothing and are dropped."""
+    total = 0
+    for k, c in enumerate(corners):
+        meets = {ring.gcd(c, d) for d in corners[k + 1:]}
+        meets = [a for a in meets
+                 if not any(a != b and ring.divides(a, b) for b in meets)]
+        total += prod(filter(None, ring.decode(c))) - _box_union(ring, meets)
+    return total
+
+
 class MonomialIdeal:
     """A monomial ideal held as its sorted minimal generating antichain."""
 
-    __slots__ = ("ring", "gens")
+    __slots__ = ("ring", "gens", "_by_support")
 
     def __init__(self, ring: Ring, monomials=()):
         self.ring = ring
         self.gens = _minimalize(ring, monomials)
+        self._by_support = None
 
     @classmethod
     def from_polys(cls, polys):
@@ -164,10 +183,17 @@ class MonomialIdeal:
             key=lambda Q: Q.gens,
         )
 
-    def _supports(self) -> set[frozenset[int]]:
-        # A component's generators are powers of distinct variables, so
-        # their sum is a monomial with the component's support.
-        return {self.support(sum(Q.gens)) for Q in self.irreducible_components()}
+    def _groups(self) -> dict[frozenset[int], list[int]]:
+        """Corners of the irreducible components, grouped by support and
+        computed once.  A component's generators are powers of distinct
+        variables; their sum, its corner, bounds its standard monomials."""
+        if self._by_support is None:
+            groups: dict[frozenset[int], list[int]] = {}
+            for Q in self.irreducible_components():
+                corner = sum(Q.gens)
+                groups.setdefault(self.support(corner), []).append(corner)
+            self._by_support = groups
+        return self._by_support
 
     def associated_primes(self) -> list[frozenset[int]]:
         """Supports of the associated primes, smallest first: the radicals
@@ -176,64 +202,34 @@ class MonomialIdeal:
             return [frozenset()]
         if self.is_unit:
             return []
-        return sorted(self._supports(), key=lambda S: (len(S), sorted(S)))
+        return sorted(self._groups(), key=lambda S: (len(S), sorted(S)))
 
     def minimal_primes(self) -> list[frozenset[int]]:
         if self.is_zero:
             return [frozenset()]
         if self.is_unit:
             return []
-        rads = self._supports()
+        rads = self._groups()
         keep = [S for S in rads if not any(T < S for T in rads)]
         return sorted(keep, key=lambda S: (len(S), sorted(S)))
 
     def multiplicity_at(self, prime) -> int:
         """Length of the localization at a prime; 0 when the prime misses
-        the ideal, ValueError when the prime is not minimal over it."""
+        the ideal, ValueError when the prime is not minimal over it.
+        Localizing keeps the irreducible components supported inside the
+        prime; when all are supported on it, their standard monomials are
+        what is left (Miller and Sturmfels, ch. 5)."""
         S = frozenset(prime)
-        J = self.restricted(S)
-        if J.is_unit:
+        if self.is_unit:
             return 0
-        if J.is_zero:
+        if self.is_zero:
             if not S:
                 return 1
             raise ValueError("localization has infinite length")
-        dec = self.ring.decode
-        units = self.ring._units
-        memo: dict[tuple[int, ...], int] = {}
-
-        def count(gens: tuple[int, ...]) -> int:
-            if gens == (0,):
-                return 0
-            got = memo.get(gens)
-            if got is not None:
-                return got
-            split = None
-            covered = set()
-            pures = {}
-            for g in gens:
-                sup = [(v, e) for v, e in enumerate(dec(g)) if e]
-                if len(sup) == 1:
-                    v, e = sup[0]
-                    covered.add(v)
-                    pures[v] = e
-                elif split is None:
-                    split = sup[0][0]
-            if split is None:
-                if covered != S:
-                    raise ValueError("localization has infinite length")
-                total = 1
-                for e in pures.values():
-                    total *= e
-            else:
-                x = units[split]
-                total = count(_minimalize(self.ring, gens + (x,))) + count(
-                    _minimalize(self.ring, tuple(g - self.ring.gcd(g, x) for g in gens))
-                )
-            memo[gens] = total
-            return total
-
-        return count(J.gens)
+        groups = self._groups()
+        if any(T < S for T in groups):
+            raise ValueError("localization has infinite length")
+        return _box_union(self.ring, groups.get(S, ()))
 
     def codimension(self) -> int:
         primes = self.minimal_primes()
@@ -248,8 +244,11 @@ class MonomialIdeal:
         return len({len(S) for S in self.minimal_primes()}) <= 1
 
     def degree(self) -> int:
-        """Sum of multiplicities over the minimal primes of top dimension."""
+        """Sum of multiplicities over the minimal primes of top dimension;
+        0 for the unit ideal, which has none."""
         primes = self.minimal_primes()
+        if not primes:
+            return 0
         if primes == [frozenset()]:
             return 1
         codim = min(len(S) for S in primes)

@@ -19,9 +19,11 @@ stay below 2**15; nothing in this package gets anywhere near that.
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import itemgetter
 
 SLOT_BITS = 16
 SLOT_CAP = 1 << (SLOT_BITS - 1)
@@ -32,7 +34,7 @@ class Ring:
 
     __slots__ = ("names", "layout", "_index", "_shifts", "_units",
                  "_decode_shifts", "_guard", "_values", "_degree_mask",
-                 "_lanes")
+                 "_lanes", "_nbytes", "_unpack", "_pick")
 
     def __init__(self, names, layout):
         self.names = tuple(names)
@@ -58,6 +60,21 @@ class Ring:
         # what ``degree`` needs to add up the exponents without a loop.
         self._degree_mask = sum((SLOT_CAP - 1) << s for s in decode)
         self._lanes = sum(0xFFFF << s for s in range(0, SLOT_BITS * nslots, 32))
+        # ``decode`` unpacks every slot in one C call, then picks the slot
+        # of each variable, if the slots are not the variables in order (a
+        # slice keeps a one-variable pick a tuple).
+        self._nbytes = 2 * nslots
+        self._unpack = struct.Struct(f">{nslots}H").unpack
+        picks = [nslots - 1 - s // SLOT_BITS for s in decode]
+        if picks == list(range(nslots)):
+            self._pick = None
+        elif len(picks) == 1:
+            self._pick = itemgetter(slice(picks[0], picks[0] + 1))
+        else:
+            self._pick = itemgetter(*picks)
+
+    def __reduce__(self):
+        return Ring, (self.names, self.layout)
 
     def __eq__(self, other):
         if not isinstance(other, Ring):
@@ -104,7 +121,8 @@ class Ring:
 
     def decode(self, m):
         """Exponent vector of a packed monomial, indexed like ``names``."""
-        return tuple((m >> s) & (SLOT_CAP - 1) for s in self._decode_shifts)
+        slots = self._unpack(m.to_bytes(self._nbytes, "big"))
+        return slots if self._pick is None else self._pick(slots)
 
     def degree(self, m):
         """Total degree: the exponents, one slot per variable, folded

@@ -1,6 +1,7 @@
 """Monomial ideal decompositions, multiplicities, and graded counts."""
 
 from functools import reduce
+from itertools import combinations
 from itertools import product as boxes
 
 import pytest
@@ -56,6 +57,15 @@ def test_zero_and_unit_edges():
     assert U.associated_primes() == []
     with pytest.raises(ValueError):
         U.codimension()
+
+
+def test_degree_of_the_unit_ideal_is_zero():
+    # As its multiplicities, K-polynomial and multidegree are.
+    U = MonomialIdeal(R2, [0])
+    assert U.degree() == 0
+    assert U.multiplicity_at(prime_from_names(R2, ("z[1,1]",))) == 0
+    Q = lex_ring(("q",))
+    assert U.multidegree(Q, grading_images(R2, Q, "standard")).is_zero
 
 
 def test_from_polys_rejects_sums():
@@ -128,6 +138,13 @@ def test_seven_strand_degree_counts_tilings():
     J = MonomialIdeal(ring, gb.initial_ideal(gb.fulton_generators(w, ring)))
     assert len(J.minimal_primes()) == 261
     assert J.degree() == 275 == len(bpd.enumerate_bpds(w))
+
+
+def test_seven_strand_degree_counts_tilings_of_2176543():
+    w = (2, 1, 7, 6, 5, 4, 3)
+    ring = matrix_ring(7, "diag")
+    J = MonomialIdeal(ring, gb.initial_ideal(gb.fulton_generators(w, ring)))
+    assert J.degree() == 594 == len(bpd.enumerate_bpds(w))
 
 
 def test_embedded_prime_found():
@@ -270,6 +287,54 @@ def test_multiplicity_counts_standard_monomials(J):
         1 for m in box_monomials(AB, max(caps)) if not local.contains(m)
     )
     assert J.multiplicity_at(S) == outside
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals(ABC, 3, 5))
+def test_multiplicity_at_every_subset_counts_standard_monomials(J):
+    for k in range(4):
+        for S in map(frozenset, combinations(range(3), k)):
+            local = J.restricted(S)
+            if local.is_unit:
+                assert J.multiplicity_at(S) == 0
+                continue
+            pure = {v for g in local.gens for v in local.support(g)
+                    if local.support(g) == {v}}
+            if pure != S:
+                with pytest.raises(ValueError, match="infinite length"):
+                    J.multiplicity_at(S)
+                continue
+            # Artinian in the variables of S: every standard monomial
+            # lies in the box below the largest exponent.
+            cap = max(max(ABC.decode(g)) for g in local.gens)
+            standard = sum(
+                1
+                for exps in boxes(*(range(cap + 1) if v in S else [0]
+                                    for v in range(3)))
+                if not local.contains(ABC.encode(list(exps)))
+            )
+            assert J.multiplicity_at(S) == standard
+
+
+def test_multiplicity_with_several_components_on_one_prime():
+    P = prime_from_names(AB, ("a", "b"))
+    J = ideal(AB, "a^2", "a*b", "b^2")
+    assert len(J.irreducible_components()) == 2
+    assert J.multiplicity_at(P) == 3 == J.degree()
+    K = ideal(AB, "a^3", "a*b", "b^3")
+    assert len(K.irreducible_components()) == 2
+    assert K.multiplicity_at(P) == 5 == K.degree()
+
+
+def test_irreducible_components_is_a_fresh_list():
+    J = ideal(ABC, "a^2", "a*b", "b^2", "c^3")
+    before = (J.minimal_primes(), J.associated_primes(), J.degree())
+    comps = J.irreducible_components()
+    comps.clear()
+    comps.append(ideal(ABC, "a"))
+    assert len(J.irreducible_components()) == 2
+    assert (J.minimal_primes(), J.associated_primes(), J.degree()) == before
+    assert J.degree() == 9
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bumpless.rings import (
+    SLOT_CAP,
     Poly,
     Ring,
     antidiagonal_layout,
@@ -70,6 +72,34 @@ def test_ring_rejects_incomplete_layout():
 def test_encode_decode_round_trip(vec):
     for ring in (R_DIAG, R_ANTI, R_REFINED):
         assert ring.decode(ring.encode(vec)) == tuple(vec)
+
+
+DECODE_RINGS = [
+    matrix_ring(4, "diag"),
+    matrix_ring(3, "yref:2,2:diag"),
+    lex_ring(("q",)),
+]
+
+
+@given(st.data())
+def test_decode_inverts_encode_up_to_the_slot_cap(data):
+    for ring in DECODE_RINGS:
+        n = len(ring.names)
+        vec = data.draw(st.lists(st.integers(0, SLOT_CAP - 1), min_size=n, max_size=n))
+        assert ring.decode(ring.encode(vec)) == tuple(vec)
+
+
+def test_decode_of_one_is_all_zeros():
+    for ring in DECODE_RINGS:
+        assert ring.decode(0) == (0,) * len(ring.names)
+
+
+def test_ring_survives_pickling():
+    for ring in DECODE_RINGS:
+        copy = pickle.loads(pickle.dumps(ring))
+        assert copy == ring
+        m = ring.encode(range(1, len(ring.names) + 1))
+        assert copy.decode(m) == ring.decode(m)
 
 
 DEGREE_RINGS = [
