@@ -9,11 +9,10 @@ corner sums, meets take maxima.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator
 
 from . import perms
-from .perms import Cell, Perm
+from .perms import Perm
 
 Asm = tuple[tuple[int, ...], ...]
 CornerSums = tuple[tuple[int, ...], ...]
@@ -49,13 +48,6 @@ def _bad_line(line: tuple[int, ...]) -> bool:
 def from_permutation(w: Perm) -> Asm:
     n = len(w)
     return tuple(tuple(1 if w[i] == j + 1 else 0 for j in range(n)) for i in range(n))
-
-
-def to_permutation(A: Asm) -> Perm | None:
-    """The permutation whose matrix is A, or None if A has a -1."""
-    if any(e < 0 for row in A for e in row):
-        return None
-    return tuple(row.index(1) + 1 for row in A)
 
 
 def corner_sums(A: Asm) -> CornerSums:

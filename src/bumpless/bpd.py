@@ -18,8 +18,6 @@ construction.  Cells are (row, column), 1-based.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from . import perms
 from .perms import Cell, Perm
 
@@ -255,14 +253,6 @@ def enumerate_bpds(w: Perm) -> frozenset[Bpd]:
     return frozenset(seen)
 
 
-def corner_tile_check(w: Perm, corner: Cell) -> bool:
-    """Every element of BPD(w) carries a blank or an up-elbow at the corner."""
-    if corner not in perms.lower_outside_corners(w):
-        raise ValueError(f"{corner} is not a lower outside corner of the diagram")
-    a, b = corner
-    return all(B[a - 1][b - 1] in ".J" for B in enumerate_bpds(w))
-
-
 def transition_bijection(B: Bpd, corner: Cell) -> Bpd:
     """The corner surgery: a blank corner becomes a down-elbow (dropping the
     permutation by one transposition), an up-elbow corner becomes a crossing.
@@ -304,11 +294,6 @@ def transition_bijection(B: Bpd, corner: Cell) -> Bpd:
 
 def bpd_to_text(B: Bpd) -> str:
     return "\n".join(B)
-
-
-def bpd_from_text(text: str) -> Bpd:
-    rows = [line for line in text.strip().splitlines() if line.strip()]
-    return validate_bpd(rows)
 
 
 def bpd_to_json(B: Bpd) -> list[list[str]]:

@@ -26,7 +26,6 @@ from math import gcd as _int_gcd
 
 from . import asm as asm_mod
 from . import cache as cache_mod
-from . import perms
 from .rings import Poly, Ring, _primitive, matrix_names
 
 
@@ -64,16 +63,13 @@ def northwest_minors(ring: Ring, i: int, j: int, size: int) -> list[Poly]:
 
 
 def fulton_generators(w, ring: Ring) -> list[Poly]:
-    """Defining minors of the matrix Schubert variety of a permutation:
-    for each essential cell (i, j), the minors of the top-left i-by-j
-    submatrix one larger than the rank there."""
-    _check_matrix_ring(ring, len(w))
-    out = {}
-    for i, j in sorted(perms.essential_set(w)):
-        r = perms.rank_function(w, i, j)
-        for g in northwest_minors(ring, i, j, r + 1):
-            out[g] = None
-    return list(out)
+    """Defining minors of the matrix Schubert variety of a permutation.
+
+    The essential rank cells of a permutation matrix are the essential
+    set of w, each with the rank of w there, so these are the ASM
+    variety's minors: for each essential cell (i, j), the minors of the
+    top-left i-by-j submatrix one larger than the rank there."""
+    return asm_generators(asm_mod.from_permutation(w), ring)
 
 
 def asm_generators(A, ring: Ring) -> list[Poly]:
@@ -402,11 +398,6 @@ def cell_degrees(polys, cell) -> list[int]:
     return [
         max(ring.decode(m)[idx] for m in p.terms) if p.terms else 0 for p in polys
     ]
-
-
-def is_linear_in_cell(polys, cell) -> bool:
-    """Whether no polynomial has the cell's variable squared or higher."""
-    return all(d <= 1 for d in cell_degrees(polys, cell))
 
 
 def cell_split(gb, cell) -> tuple[list[Poly], list[Poly]]:

@@ -231,18 +231,6 @@ class MonomialIdeal:
             raise ValueError("localization has infinite length")
         return _box_union(self.ring, groups.get(S, ()))
 
-    def codimension(self) -> int:
-        primes = self.minimal_primes()
-        if not primes:
-            raise ValueError("the unit ideal has no minimal primes")
-        return min(len(S) for S in primes)
-
-    def dimension(self) -> int:
-        return len(self.ring.names) - self.codimension()
-
-    def is_equidimensional(self) -> bool:
-        return len({len(S) for S in self.minimal_primes()}) <= 1
-
     def degree(self) -> int:
         """Sum of multiplicities over the minimal primes of top dimension;
         0 for the unit ideal, which has none."""
@@ -255,13 +243,6 @@ class MonomialIdeal:
         return sum(
             self.multiplicity_at(S) for S in primes if len(S) == codim
         )
-
-    def facets(self) -> list[tuple[int, ...]]:
-        """Complements of the minimal primes: the maximal coordinate
-        subspaces inside the zero set."""
-        everything = set(range(len(self.ring.names)))
-        out = [tuple(sorted(everything - S)) for S in self.minimal_primes()]
-        return sorted(out)
 
     def k_polynomial(self, target: Ring, images) -> Poly:
         """Hilbert-series numerator under a grading sending each variable

@@ -87,11 +87,6 @@ class Ring:
     def __repr__(self):
         return f"Ring({len(self.names)} variables, {len(self.layout)} slots)"
 
-    @property
-    def one(self):
-        """The packed empty monomial."""
-        return 0
-
     def index(self, name):
         try:
             return self._index[name]
@@ -136,10 +131,6 @@ class Ring:
         """Whether monomial ``d`` divides monomial ``m``."""
         g = self._guard
         return ((m | g) - d) & g == g
-
-    def quotient(self, m, d):
-        """``m / d`` for a caller who already knows ``d`` divides ``m``."""
-        return m - d
 
     def lcm(self, a, b):
         g = self._guard
@@ -389,10 +380,6 @@ class Poly:
 
     def coefficient(self, m):
         return self.terms.get(m, 0)
-
-    def sorted_terms(self):
-        """Terms as (monomial, coefficient) pairs, largest monomial first."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, reverse=True)]
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
@@ -664,6 +651,8 @@ def parse_poly(ring, text):
                 d = factor()
                 if set(d.terms) - {0}:
                     raise ValueError("can only divide by a constant")
+                if d.is_zero:
+                    raise ValueError("division by zero in polynomial text")
                 acc = acc * Fraction(1, d.coefficient(0))
             else:
                 return acc

@@ -175,17 +175,6 @@ def _tiling_sum(w: Perm, ring: Ring, tag: str) -> Poly:
     return total
 
 
-def drop_variables(f: Poly, names) -> Poly:
-    """Set the named variables to zero."""
-    idx = [f.ring.index(nm) for nm in names]
-    kept = {
-        m: c
-        for m, c in f.terms.items()
-        if all(f.ring.decode(m)[v] == 0 for v in idx)
-    }
-    return Poly(f.ring, kept)
-
-
 def set_beta(f: Poly, value: int) -> Poly:
     """Substitute a constant for beta, staying in the same ring."""
     ring = f.ring

@@ -104,12 +104,6 @@ def test_all_asms_3_matches_brute_force():
     assert sorted(A.all_asms(3)) == sorted(brute_asms_3())
 
 
-def test_permutation_round_trip():
-    for w in P.all_perms(4):
-        assert A.to_permutation(A.from_permutation(w)) == w
-    assert A.to_permutation(EX_MINUS_ONE) is None
-
-
 def test_lattice_order_extends_bruhat_on_s3():
     for u in P.all_perms(3):
         for w in P.all_perms(3):

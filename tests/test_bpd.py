@@ -135,20 +135,21 @@ def test_enumeration_is_traversal_order_independent():
         assert bfs(w) == B.enumerate_bpds(w)
 
 
-def test_corner_tile_check_s4_and_rejection():
-    for w in P.all_perms(4):
-        for corner in P.lower_outside_corners(w):
-            assert B.corner_tile_check(w, corner)
-    with pytest.raises(ValueError):
-        B.corner_tile_check((2, 1, 4, 3), (2, 2))
+def test_corner_tiles_blank_or_up_elbow_s5():
+    # every element of BPD(w) carries a blank or an up-elbow at each lower
+    # outside corner of the diagram
+    for w in P.all_perms(5):
+        bpds = B.enumerate_bpds(w)
+        for a, b in P.lower_outside_corners(w):
+            assert all(x[a - 1][b - 1] in ".J" for x in bpds)
 
 
 def test_corner_tile_check_dominant():
     # a dominant permutation has a single element in its droop class
     w = (3, 2, 1)
     assert len(B.enumerate_bpds(w)) == 1
-    for corner in P.lower_outside_corners(w):
-        assert B.corner_tile_check(w, corner)
+    for a, b in P.lower_outside_corners(w):
+        assert all(x[a - 1][b - 1] in ".J" for x in B.enumerate_bpds(w))
 
 
 def test_transition_example_blank_case():
@@ -210,7 +211,7 @@ def test_transition_bijection_exhaustive(n):
 def test_text_and_json_round_trip():
     for w in [(2, 1, 4, 3), (1, 3, 2)]:
         for x in B.enumerate_bpds(w):
-            assert B.bpd_from_text(B.bpd_to_text(x)) == x
+            assert B.validate_bpd(B.bpd_to_text(x).splitlines()) == x
             assert B.bpd_from_json(B.bpd_to_json(x)) == x
     with pytest.raises(B.InvalidBpd):
         B.bpd_from_json([["blank", "mystery"], ["blank", "blank"]])

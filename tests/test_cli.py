@@ -170,6 +170,14 @@ def test_flag_the_action_does_not_read_is_a_usage_error(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("text", ["z[1,1]/0", "z[1,1]/(1-1)"])
+def test_division_by_zero_is_a_usage_error(capsys, text):
+    assert cli.main(["mono", "decompose", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: division by zero in polynomial text\n"
+
+
 def test_beta_substitution(capsys):
     code, sym = run(capsys, "poly", "groth", "21")
     assert sym.strip() == "x1*y1*beta + x1 + y1"
