@@ -12,6 +12,9 @@ counts as a miss and is recomputed and overwritten.  Writes go through
 a temporary file in the cache directory and an atomic rename, which
 keeps concurrent writers from tearing each other's entries; a write
 that fails removes its temporary file and leaves the cache as it was.
+Generators whose leading monomials are pairwise coprime are already a
+Groebner basis, and ``groebner.buchberger`` never looks them up here:
+computing their reduced basis costs less than a file.
 """
 
 from __future__ import annotations
@@ -21,10 +24,14 @@ import json
 import os
 import tempfile
 from contextlib import suppress
+from functools import lru_cache
+from itertools import compress
 from math import gcd
 from pathlib import Path
 
 from .rings import SLOT_CAP
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def cache_root() -> Path:
@@ -37,22 +44,30 @@ def cache_root() -> Path:
     return Path.home() / ".cache" / "bumpless"
 
 
-def _entry_path(ring, seeds) -> Path:
-    digest = hashlib.sha256(json.dumps([ring.names, ring.layout]).encode())
+@lru_cache(maxsize=32)
+def _ring_digest(ring):
+    return hashlib.sha256(json.dumps([ring.names, ring.layout]).encode())
+
+
+def entry_path(ring, seeds) -> Path:
+    """Where the basis of these sorted, primitive generators is kept."""
+    digest = _ring_digest(ring).copy()
     # Hex keeps huge packed monomials clear of the int-to-decimal limit.
-    digest.update(
-        ";".join(" ".join(f"{m:x}:{c:x}" for m, c in s) for s in seeds).encode()
-    )
+    text = ";".join([" ".join(map("%x:%x".__mod__, s)) for s in seeds])
+    digest.update(text.encode())
     return cache_root() / f"gb-{digest.hexdigest()}.json"
 
 
 def _encode(ring, terms) -> list[list[int]]:
+    dec = ring.decode
+    every = range(len(ring.names))
     rows = []
     for m, c in terms.items():
+        ex = dec(m)
         row = [c]
-        for v, e in enumerate(ring.decode(m)):
-            if e:
-                row += (v, e)
+        for v in compress(every, ex):
+            row.append(v)
+            row.append(ex[v])
         rows.append(row)
     return rows
 
@@ -61,6 +76,7 @@ def _decode(ring, data) -> list[dict[int, int]] | None:
     if not isinstance(data, list):
         return None
     units = ring._units
+    nvars = len(units)
     basis = []
     leads = []
     for rows in data:
@@ -70,16 +86,21 @@ def _decode(ring, data) -> list[dict[int, int]] | None:
         for row in rows:
             if not isinstance(row, list) or len(row) % 2 != 1:
                 return None
-            if not all(type(x) is int for x in row) or not row[0]:
+            c = row[0]
+            if type(c) is not int or not c:
                 return None
             m = 0
             prev = -1
-            for v, e in zip(row[1::2], row[2::2]):
-                if not (prev < v < len(units) and 0 < e < SLOT_CAP):
+            pairs = iter(row)
+            next(pairs)
+            for v, e in zip(pairs, pairs):
+                if type(v) is not int or type(e) is not int:
+                    return None
+                if not (prev < v < nvars and 0 < e < SLOT_CAP):
                     return None
                 m += e * units[v]
                 prev = v
-            terms[m] = row[0]
+            terms[m] = c
         if len(terms) != len(rows):
             return None
         lead = max(terms)
@@ -95,9 +116,8 @@ def _decode(ring, data) -> list[dict[int, int]] | None:
     return basis
 
 
-def load_basis(ring, seeds) -> list[dict[int, int]] | None:
-    """Term maps of the cached basis for these generators, or None."""
-    path = _entry_path(ring, seeds)
+def load_basis(ring, path) -> list[dict[int, int]] | None:
+    """Term maps of the basis cached at ``entry_path``, or None."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -106,15 +126,20 @@ def load_basis(ring, seeds) -> list[dict[int, int]] | None:
     return _decode(ring, data)
 
 
-def store_basis(ring, seeds, basis) -> None:
-    path = _entry_path(ring, seeds)
+def store_basis(ring, path, basis) -> None:
+    # The C encoder collects every piece of its output before joining
+    # them, so it gets one element at a time: same bytes, less memory.
+    text = ",".join([_ENCODER.encode(_encode(ring, terms)) for terms in basis])
+    text = f"[{text}]"
     tmp = None
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump([_encode(ring, terms) for terms in basis], fh,
-                      separators=(",", ":"))
+            fh.write(text)
         os.replace(tmp, path)
     except OSError:
         if tmp is not None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd as _int_gcd
 
@@ -178,10 +178,17 @@ def buchberger(gens, use_cache: bool = True) -> list[Poly]:
         return []
     ring = _common_ring(gens)
     seeds = sorted({tuple(sorted(_primitive(g.terms).items())) for g in gens})
+    path = None
     if use_cache:
-        hit = cache_mod.load_basis(ring, seeds)
-        if hit is not None:
-            return [Poly(ring, terms) for terms in hit]
+        # Seeds whose leads are pairwise coprime (their lcm is their
+        # product) are a Groebner basis already, by the first criterion:
+        # finishing them costs less than a disk round trip.
+        leads = [s[-1][0] for s in seeds]
+        if reduce(ring.lcm, leads) != sum(leads):
+            path = cache_mod.entry_path(ring, seeds)
+            hit = cache_mod.load_basis(ring, path)
+            if hit is not None:
+                return [Poly(ring, terms) for terms in hit]
 
     basis: list[dict[int, int]] = []
     lms: list[int] = []
@@ -241,8 +248,8 @@ def buchberger(gens, use_cache: bool = True) -> list[Poly]:
 
     reduced = _autoreduce(ring, basis)
     result = [Poly(ring, d) for d in reduced]
-    if use_cache:
-        cache_mod.store_basis(ring, seeds, reduced)
+    if path is not None:
+        cache_mod.store_basis(ring, path, reduced)
     return result
 
 

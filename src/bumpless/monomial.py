@@ -156,29 +156,30 @@ class MonomialIdeal:
             ([(v, e) for v, e in enumerate(dec(g)) if e] for g in self.gens),
             key=len,
         )
-        # A component is a dict {v: a}: the ideal of the powers x_v^a.
-        comps: list[dict[int, int]] = [{}]
+        # A component is a dict {v: a}, the ideal of the powers x_v^a,
+        # with the bitmask of its variables: a component can only contain
+        # another whose variables it has.
+        comps: list[tuple[dict[int, int], int]] = [({}, 0)]
         for m in supports:
-            kept: list[dict[int, int]] = []
-            splits: list[dict[int, int]] = []
-            for Q in comps:
+            kept: list[tuple[dict[int, int], int]] = []
+            splits: list[tuple[dict[int, int], int]] = []
+            for Q, qmask in comps:
                 if any(0 < Q.get(v, 0) <= e for v, e in m):
-                    kept.append(Q)
+                    kept.append((Q, qmask))
                 else:
-                    splits.extend({**Q, v: e} for v, e in m)
-            splits.sort(key=lambda Q: (len(Q), -sum(Q.values())))
-            for N in splits:
+                    splits.extend(({**Q, v: e}, qmask | 1 << v) for v, e in m)
+            splits.sort(key=lambda N: (len(N[0]), -sum(N[0].values())))
+            for N, nmask in splits:
                 if not any(
-                    len(Q) <= len(N)
-                    and all(0 < N.get(v, 0) <= a for v, a in Q.items())
-                    for Q in kept
+                    not qmask & ~nmask and all(N[v] <= a for v, a in Q.items())
+                    for Q, qmask in kept
                 ):
-                    kept.append(N)
+                    kept.append((N, nmask))
             comps = kept
         return sorted(
             (
                 MonomialIdeal(self.ring, (a * units[v] for v, a in Q.items()))
-                for Q in comps
+                for Q, _ in comps
             ),
             key=lambda Q: Q.gens,
         )

@@ -195,7 +195,7 @@ def test_cache_dir_flag(capsys, tmp_path, monkeypatch):
 
 def test_cache_dir_flag_restores_the_environment(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(tmp_path / "outer"))
-    code, _ = run(capsys, "--cache-dir", str(tmp_path / "inner"), "ideal", "gb", "2143")
+    code, _ = run(capsys, "--cache-dir", str(tmp_path / "inner"), "ideal", "gb", "21543")
     assert code == 0
     assert list((tmp_path / "inner").glob("gb-*.json"))
     assert os.environ["BUMPLESS_CACHE_DIR"] == str(tmp_path / "outer")
@@ -319,11 +319,11 @@ def test_no_option_carries_over_to_the_next_call(capsys, tmp_path, monkeypatch):
     outer, inner = tmp_path / "outer", tmp_path / "inner"
     monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(outer))
     code, first = run(
-        capsys, "--format", "json", "--cache-dir", str(inner), "ideal", "gb", "2143"
+        capsys, "--format", "json", "--cache-dir", str(inner), "ideal", "gb", "21543"
     )
     assert code == 0
     generators = json.loads(first)["generators"]
-    code, second = run(capsys, "ideal", "gb", "2143")
+    code, second = run(capsys, "ideal", "gb", "21543")
     assert code == 0
     assert second == "".join(f"{g}\n" for g in generators)
     assert len(list(inner.glob("gb-*.json"))) == 1

@@ -401,6 +401,37 @@ def test_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "word, order",
+    [(None, "diag"), ("2143", "antidiag"), ("132", "diag"), ("132", "antidiag")],
+)
+def test_coprime_leads_skip_the_cache(word, order, tmp_path, monkeypatch):
+    monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(tmp_path))
+
+    def refuse(ring, path):
+        raise AssertionError("pairwise coprime leads were looked up")
+
+    monkeypatch.setattr(gb.cache_mod, "load_basis", refuse)
+    ring = matrix_ring(4, order)
+    if word is None:
+        gens = [z(ring, 1, 2) * z(ring, 3, 4) - 2 * z(ring, 2, 2) ** 2]
+    else:
+        gens = gb.fulton_generators(perms.perm_from_text(word), ring)
+    assert gb.buchberger(gens) == gb.buchberger(gens, use_cache=False)
+    assert list(tmp_path.glob("gb-*.json")) == []
+
+
+@pytest.mark.parametrize("order", ["diag", "antidiag", "col-lex"])
+def test_cached_bases_match_computed_ones_on_s5(order, tmp_path, monkeypatch):
+    monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(tmp_path))
+    ring = matrix_ring(5, order)
+    cases = [gb.fulton_generators(w, ring) for w in perms.all_perms(5)]
+    expected = [gb.buchberger(gens, use_cache=False) for gens in cases]
+    assert [gb.buchberger(gens) for gens in cases] == expected  # cold
+    assert list(tmp_path.glob("gb-*.json"))
+    assert [gb.buchberger(gens) for gens in cases] == expected  # warm
+
+
 mono2 = st.lists(st.integers(min_value=0, max_value=2), min_size=4, max_size=4)
 poly2 = st.lists(
     st.tuples(mono2, st.integers(min_value=-3, max_value=3)),
