@@ -18,6 +18,8 @@ construction.  Cells are (row, column), 1-based.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from . import perms
 from .perms import Cell, Perm
 
@@ -51,94 +53,120 @@ class InvalidBpd(ValueError):
     pass
 
 
+# Per edge, a table sending each glyph to "1" when it has that pipe
+# segment and to "0" when not, so one ``translate`` gives a grid's flags.
+# "#" marks the left and right boundary between rows: it has no right
+# segment, so a row's first cell must have no left one, and it has a left
+# segment, so a row's last cell must have a right one (the pipe's exit).
+_TOP, _RIGHT, _BOTTOM, _LEFT = (
+    str.maketrans({g: "01"[e[k]] for g, e in EDGES.items()} | {"#": "0001"[k]})
+    for k in range(4)
+)
+_NOT_GLYPHS = str.maketrans("", "", GLYPHS)
+
+
 def validate_bpd(grid) -> Bpd:
     """Full validation: glyphs, edge matching, boundary, pipe tracing,
     and the at-most-one-crossing rule for every pair of pipes."""
     rows = tuple("".join(r) if not isinstance(r, str) else r for r in grid)
     n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
+    if set(map(len, rows)) != {n}:
         raise InvalidBpd("grid is not square")
-    for r in rows:
-        for ch in r:
-            if ch not in EDGES:
-                raise InvalidBpd(f"unknown tile glyph {ch!r}")
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            top, right, bottom, left = EDGES[rows[i - 1][j - 1]]
-            if i == 1 and top:
-                raise InvalidBpd(f"pipe leaks through the top boundary at column {j}")
-            if j == 1 and left:
-                raise InvalidBpd(f"pipe leaks through the left boundary at row {i}")
-            if i == n and not bottom:
-                raise InvalidBpd(f"missing pipe entry at bottom of column {j}")
-            if j == n and not right:
-                raise InvalidBpd(f"missing pipe exit at right of row {i}")
-            if i < n and bottom != EDGES[rows[i][j - 1]][0]:
-                raise InvalidBpd(f"edge mismatch between ({i},{j}) and ({i + 1},{j})")
-            if j < n and right != EDGES[rows[i - 1][j]][3]:
-                raise InvalidBpd(f"edge mismatch between ({i},{j}) and ({i},{j + 1})")
+    cells = "".join(rows)
+    stray = cells.translate(_NOT_GLYPHS)
+    if stray:
+        raise InvalidBpd(f"unknown tile glyph {stray[0]!r}")
+    # Each cell's bottom flag against the top flag n cells on, with no
+    # pipe above row 1 and every pipe entering below row n; each right
+    # flag against the next left flag along the "#"-bounded rows.
+    bounded = "#" + "#".join(rows) + "#"
+    if (
+        "0" * n + cells.translate(_BOTTOM) != cells.translate(_TOP) + "1" * n
+        or bounded.translate(_RIGHT)[:-1] != bounded.translate(_LEFT)[1:]
+    ):
+        raise InvalidBpd(_edge_fault(rows))
     _trace(rows)
     return rows
 
 
-def _trace(rows: Bpd) -> Perm:
-    """Follow every pipe from its bottom entry and return the permutation;
-    raise unless the pipes exit one per row and cross at most once."""
+def _edge_fault(rows: Bpd) -> str:
+    """The first failing edge check: cells in row-major order, and in each
+    cell the checks in a fixed order."""
     n = len(rows)
-    exit_rows: dict[int, int] = {}
-    vertical_at: dict[Cell, int] = {}
-    horizontal_at: dict[Cell, int] = {}
-    for start in range(1, n + 1):
-        i, j, from_left = n, start, False
-        while True:
-            if i < 1:
-                raise InvalidBpd(f"pipe {start} escaped through the top")
-            if j > n:
-                if start in exit_rows:
-                    raise InvalidBpd(f"pipe {start} exits twice")
-                exit_rows[start] = i
-                break
-            tile = rows[i - 1][j - 1]
-            if tile == "+":
-                reg = horizontal_at if from_left else vertical_at
-                if (i, j) in reg:
-                    raise InvalidBpd(f"crossing at ({i},{j}) traversed twice the same way")
-                reg[(i, j)] = start
-            if from_left:
-                if tile in "-+":
-                    j += 1
-                elif tile == "J":
-                    i, from_left = i - 1, False
-                else:
-                    raise InvalidBpd(f"pipe {start} hits {tile!r} at ({i},{j}) from the left")
-            else:
-                if tile in "|+":
-                    i -= 1
-                elif tile == "L":
-                    j, from_left = j + 1, True
-                else:
-                    raise InvalidBpd(f"pipe {start} hits {tile!r} at ({i},{j}) from below")
-        # leaving the cell where we exited right: j ran past n with i = exit row
-    if sorted(exit_rows.values()) != list(range(1, n + 1)):
-        raise InvalidBpd("pipes do not exit one per row")
-    seen = set()
-    for cell, vpipe in vertical_at.items():
-        hpipe = horizontal_at.get(cell)
-        if hpipe is None:
-            raise InvalidBpd(f"crossing at {cell} is not traversed horizontally")
-        pair = (min(vpipe, hpipe), max(vpipe, hpipe))
-        if pair in seen:
-            raise InvalidBpd(f"pipes {pair} cross more than once")
-        seen.add(pair)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            top, right, bottom, left = EDGES[rows[i - 1][j - 1]]
+            if i == 1 and top:
+                return f"pipe leaks through the top boundary at column {j}"
+            if j == 1 and left:
+                return f"pipe leaks through the left boundary at row {i}"
+            if i == n and not bottom:
+                return f"missing pipe entry at bottom of column {j}"
+            if j == n and not right:
+                return f"missing pipe exit at right of row {i}"
+            if i < n and bottom != EDGES[rows[i][j - 1]][0]:
+                return f"edge mismatch between ({i},{j}) and ({i + 1},{j})"
+            if j < n and right != EDGES[rows[i - 1][j]][3]:
+                return f"edge mismatch between ({i},{j}) and ({i},{j + 1})"
+    raise AssertionError("grid passed every edge check")
+
+
+def _trace(rows: Bpd) -> Perm:
+    """The permutation of an edge-consistent grid; raise if two pipes
+    cross more than once.
+
+    One sweep, bottom row first, carries the pipe entering each column
+    from below.  Edge consistency makes each row's elbows read L, J, L,
+    ..., J, L from left to right: an up-elbow takes the pipe of the
+    down-elbow before it, and the last down-elbow's pipe exits the row.
+    Two pipes cross an odd number of times exactly when they form an
+    inversion, so there is no repeated crossing exactly when the grid
+    has as many crossings as the permutation has inversions."""
+    n = len(rows)
+    up = list(range(1, n + 1))
     word = [0] * n
-    for start, row in exit_rows.items():
-        word[row - 1] = start
-    return tuple(word)
+    for i in range(n - 1, -1, -1):
+        r = rows[i]
+        j = r.find("L")
+        k = r.find("J", j)
+        while k >= 0:
+            up[k], up[j] = up[j], 0
+            j = r.find("L", k)
+            k = r.find("J", j)
+        word[i], up[j] = up[j], 0
+    word = tuple(word)
+    if "".join(rows).count("+") != perms.coxeter_length(word):
+        raise InvalidBpd(f"pipes {_repeated_crossing(rows)} cross more than once")
+    return word
+
+
+def _repeated_crossing(rows: Bpd) -> tuple[int, int]:
+    """The first pair of pipes met twice, taking the crossings pipe by
+    pipe (by the pipe passing vertically), each in path order."""
+    n = len(rows)
+    up = list(range(1, n + 1))
+    crossings = []
+    for i in range(n - 1, -1, -1):
+        h = 0
+        for j, t in enumerate(rows[i]):
+            if t == "+":
+                crossings.append((up[j], h))
+            elif t == "L":
+                h, up[j] = up[j], 0
+            elif t == "J":
+                up[j], h = h, 0
+    seen = set()
+    for v, h in sorted(crossings, key=itemgetter(0)):
+        pair = (min(v, h), max(v, h))
+        if pair in seen:
+            return pair
+        seen.add(pair)
+    raise AssertionError("no pair of pipes crosses twice")
 
 
 def permutation_of(B: Bpd) -> Perm:
     """The permutation sending each exit row to the label of its pipe."""
-    return _trace(B)
+    return _trace(validate_bpd(B))
 
 
 def diagram(B: Bpd) -> frozenset[Cell]:
@@ -175,30 +203,65 @@ def rothe_bpd(w: Perm) -> Bpd:
     return validate_bpd(rows)
 
 
+# Elbows become "E" and blanks stay ".", so a droop scan finds both with
+# ``str.find`` on one string per row.
+_ELBOW_MARKS = str.maketrans("-|+LJ", "xxxEE")
+# A droop swaps "-" with "." and "+" with "|" along the source and target
+# rows between the two columns, and "|" with "." and "+" with "-" down the
+# source and target columns between the two rows.
+_ROW_SWAP = str.maketrans("-.+|", ".-|+")
+_COL_SWAP = str.maketrans("|.+-", ".|-+")
+
+
+def _droops(B: Bpd):
+    """Every legal droop as 0-based (i, j, a, b).
+
+    From a down-elbow at (i, j) the scan goes down the rows below it,
+    keeping the first column right of j that holds an elbow in any row
+    from i down; blanks left of that bound are targets.  It stops at the
+    first row with an elbow in column j."""
+    n = len(B)
+    marks = [r.translate(_ELBOW_MARKS) for r in B]
+    for i, row in enumerate(B):
+        j = row.find("L")
+        while j >= 0:
+            bound = marks[i].find("E", j + 1)
+            if bound < 0:
+                bound = n
+            for a in range(i + 1, n):
+                m = marks[a]
+                if m[j] == "E":
+                    break
+                e = m.find("E", j + 1, bound)
+                if e >= 0:
+                    bound = e
+                b = m.find(".", j + 1, bound)
+                while b >= 0:
+                    yield i, j, a, b
+                    b = m.find(".", b + 1, bound)
+            j = row.find("L", j + 1)
+
+
+def _droop(B: Bpd, i: int, j: int, a: int, b: int) -> Bpd:
+    """The grid after the legal droop (i, j) -> (a, b), 0-based."""
+    rows = list(B)
+    r = B[i]
+    rows[i] = r[:j] + "." + r[j + 1 : b].translate(_ROW_SWAP) + "L" + r[b + 1 :]
+    for x in range(i + 1, a):
+        r = B[x]
+        rows[x] = (
+            r[:j] + r[j].translate(_COL_SWAP) + r[j + 1 : b]
+            + r[b].translate(_COL_SWAP) + r[b + 1 :]
+        )
+    r = B[a]
+    rows[a] = r[:j] + "L" + r[j + 1 : b].translate(_ROW_SWAP) + "J" + r[b + 1 :]
+    return tuple(rows)
+
+
 def legal_droops(B: Bpd) -> set[DroopMove]:
     """All (down-elbow, blank) pairs whose spanning rectangle contains no
     other elbow of either kind."""
-    n = len(B)
-    elbows = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if B[i - 1][j - 1] in "LJ"
-    ]
-    moves = set()
-    for (i, j) in elbows:
-        if B[i - 1][j - 1] != "L":
-            continue
-        for a in range(i + 1, n + 1):
-            for b in range(j + 1, n + 1):
-                if B[a - 1][b - 1] != ".":
-                    continue
-                if any(
-                    (x, y) != (i, j) and i <= x <= a and j <= y <= b for (x, y) in elbows
-                ):
-                    continue
-                moves.add(((i, j), (a, b)))
-    return moves
+    return {((i + 1, j + 1), (a + 1, b + 1)) for i, j, a, b in _droops(B)}
 
 
 def apply_droop(B: Bpd, move: DroopMove) -> Bpd:
@@ -215,40 +278,21 @@ def apply_droop(B: Bpd, move: DroopMove) -> Bpd:
         for y in range(j, b + 1):
             if (x, y) != (i, j) and B[x - 1][y - 1] in "LJ":
                 raise ValueError(f"rectangle contains another elbow at {(x, y)}")
-    grid = [list(r) for r in B]
-
-    def rewrite(x, y, table):
-        old = grid[x - 1][y - 1]
-        if old not in table:
-            raise InvalidBpd(f"unexpected tile {old!r} at {(x, y)} during droop")
-        grid[x - 1][y - 1] = table[old]
-
-    rewrite(i, j, {"L": "."})
-    for y in range(j + 1, b):
-        rewrite(i, y, {"-": ".", "+": "|"})
-    rewrite(i, b, {"-": "L"})
-    for x in range(i + 1, a):
-        rewrite(x, j, {"|": ".", "+": "-"})
-    rewrite(a, j, {"|": "L"})
-    for y in range(j + 1, b):
-        rewrite(a, y, {".": "-", "|": "+"})
-    for x in range(i + 1, a):
-        rewrite(x, b, {".": "|", "-": "+"})
-    rewrite(a, b, {".": "J"})
-    return validate_bpd("".join(r) for r in grid)
+    return validate_bpd(_droop(B, i - 1, j - 1, a - 1, b - 1))
 
 
 def enumerate_bpds(w: Perm) -> frozenset[Bpd]:
-    """Closure of the Rothe element under droop moves."""
+    """Closure of the Rothe element under droop moves; each tiling is
+    fully validated once, when it is first reached."""
     start = rothe_bpd(w)
     seen = {start}
     frontier = [start]
     while frontier:
         B = frontier.pop()
-        for move in legal_droops(B):
-            nxt = apply_droop(B, move)
+        for move in _droops(B):
+            nxt = _droop(B, *move)
             if nxt not in seen:
-                seen.add(nxt)
+                seen.add(validate_bpd(nxt))
                 frontier.append(nxt)
     return frozenset(seen)
 

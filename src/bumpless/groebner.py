@@ -83,6 +83,7 @@ def asm_generators(A, ring: Ring) -> list[Poly]:
     return list(out)
 
 
+@lru_cache(maxsize=32)
 def _check_matrix_ring(ring: Ring, n: int) -> None:
     needed = set(matrix_names(n))
     if not needed <= set(ring.names):

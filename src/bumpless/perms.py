@@ -53,8 +53,7 @@ def coxeter_length(w: Perm) -> int:
     >>> coxeter_length((3, 2, 1))
     3
     """
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    return sum(a > b for a, b in itertools.combinations(w, 2))
 
 
 def rank_function(w: Perm, a: int, b: int) -> int:

@@ -512,7 +512,7 @@ def _primitive(terms):
     leading coefficient; the map itself when it already is one."""
     if not terms:
         return terms
-    dens = [c.denominator for c in terms.values() if isinstance(c, Fraction)]
+    dens = [c.denominator for c in terms.values() if type(c) is Fraction]
     if dens:
         den = lcm(*dens)
         terms = {m: int(c * den) for m, c in terms.items()}

@@ -20,6 +20,8 @@ polynomial here is a nonnegative integer.
 
 from __future__ import annotations
 
+from functools import cache
+
 from . import bpd as bpd_mod
 from .perms import Perm, apply_transposition, longest_element, validate_perm
 from .rings import SLOT_CAP, Poly, Ring, exact_divide, lex_ring
@@ -168,7 +170,8 @@ def bpd_single_schubert_poly(w: Perm, ring: Ring) -> Poly:
 
 def _tiling_sum(w: Perm, ring: Ring, tag: str) -> Poly:
     w = pad(w, ring_size(ring))
-    factor = _FAMILIES[tag][0]
+    # Each cell's factor is built once per call, not once per tiling.
+    factor = cache(_FAMILIES[tag][0])
     total = Poly.zero(ring)
     for grid in sorted(bpd_mod.enumerate_bpds(w)):
         total = total + _product(ring, sorted(bpd_mod.diagram(grid)), factor)

@@ -2,7 +2,7 @@
 
 Where a guarantee quantifies over a whole symmetric group the test
 enumerates the group; where it pins a specific display the expected
-bytes are frozen below.  Everything is exact integer arithmetic.  Two
+bytes are frozen below.  Everything is exact integer arithmetic.  Three
 sweeps over larger inputs take minutes from a cold cache and only run
 with BUMPLESS_EXTENDED=1.
 """
@@ -258,3 +258,18 @@ def test_c12_partition_conjugate_multiplicities():
     assert set(J.minimal_primes()) == {diagonal_prime(R, k) for k in (1, 2, 3, 4)}
     for k, mult in enumerate((3, 2, 1, 1), start=1):
         assert J.multiplicity_at(diagonal_prime(R, k)) == mult
+
+
+@extended
+def test_c13_extended_seven_strand_tiling_census():
+    xs = x_ring(7)
+    total = 0
+    for w in perms.all_perms(7):
+        tilings = bpd.enumerate_bpds(w)
+        assert len(tilings) == principal_value(single_schubert_poly(w, xs)), w
+        length = perms.coxeter_length(w)
+        for x in tilings:
+            assert bpd.permutation_of(x) == w
+            assert "".join(x).count(".") == length
+        total += len(tilings)
+    assert total == 150371

@@ -75,6 +75,41 @@ def test_validation_rejects_double_crossing():
         B.validate_bpd(DOUBLE_CROSSING)
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ((), "grid is not square"),
+        (("L-", "|"), "grid is not square"),
+        (("Lx", "|L"), "unknown tile glyph 'x'"),
+        (("|L", "LJ"), "pipe leaks through the top boundary at column 1"),
+        (("-",), "pipe leaks through the left boundary at row 1"),
+        ((".",), "missing pipe entry at bottom of column 1"),
+        (("..", "LL"), "missing pipe exit at right of row 1"),
+        (("L-", ".."), "edge mismatch between (1,1) and (2,1)"),
+        (("L.", "|L"), "edge mismatch between (1,1) and (1,2)"),
+        (DOUBLE_CROSSING, "pipes (1, 2) cross more than once"),
+        # pipes 1 and 3 meet again first going up the rows, but the
+        # report takes the crossings by the pipe passing vertically
+        (("...L-", ".L-+-", ".|L+-", "L++JL", "|||L+"), "pipes (1, 2) cross more than once"),
+    ],
+)
+def test_validation_messages(grid, message):
+    with pytest.raises(B.InvalidBpd) as exc:
+        B.validate_bpd(grid)
+    assert str(exc.value) == message
+
+
+def test_every_single_tile_mutation_is_rejected_s4():
+    for w in P.all_perms(4):
+        for x in B.enumerate_bpds(w):
+            for i, row in enumerate(x):
+                for j, old in enumerate(row):
+                    for new in B.GLYPHS.replace(old, ""):
+                        bad = x[:i] + (row[:j] + new + row[j + 1 :],) + x[i + 1 :]
+                        with pytest.raises(B.InvalidBpd):
+                            B.validate_bpd(bad)
+
+
 def test_enumerate_counts_tiny():
     assert len(B.enumerate_bpds((2, 1, 3))) == 1
     assert len(B.enumerate_bpds((1, 3, 2))) == 2
@@ -131,7 +166,7 @@ def test_enumeration_is_traversal_order_independent():
                     queue.append(nxt)
         return frozenset(seen)
 
-    for w in P.all_perms(4):
+    for w in P.all_perms(5):
         assert bfs(w) == B.enumerate_bpds(w)
 
 

@@ -102,6 +102,14 @@ def test_fulton_generators_identity_is_empty():
     assert gb.fulton_generators(perms.identity(4), matrix_ring(4, "diag")) == []
 
 
+def test_generators_need_the_matrix_variables():
+    small = matrix_ring(3, "diag")
+    for _ in range(2):  # the check is cached per ring and size; the error is not
+        with pytest.raises(ValueError, match="ring lacks the 4 by 4 matrix variables"):
+            gb.fulton_generators((2, 1, 4, 3), small)
+    assert gb.fulton_generators((2, 1, 3), small) == [z(small, 1, 1)]
+
+
 def test_asm_generators_match_example():
     ring = matrix_ring(3, "antidiag")
     A = asm.validate_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
