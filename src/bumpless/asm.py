@@ -117,22 +117,20 @@ def _bound(asms, pick, op: str, end: str) -> Asm:
 
 
 def perm_set(A: Asm) -> set[Perm]:
-    """Bruhat-minimal permutations weakly above A in the lattice order."""
-    n = len(A)
-    rk = corner_sums(A)
-    above = []
-    for w in perms.all_perms(n):
-        rw = perms.rank_matrix(w)
-        if all(
-            rw[i][j] <= rk[i][j] for i in range(1, n + 1) for j in range(1, n + 1)
-        ):
-            above.append(w)
-    above.sort(key=perms.coxeter_length)
-    minimal: list[Perm] = []
-    for w in above:
-        if not any(perms.bruhat_leq(v, w) for v in minimal):
-            minimal.append(w)
-    return set(minimal)
+    """Bruhat-minimal permutations weakly above A in the lattice order.
+
+    A permutation lies above A exactly when it meets A's essential rank
+    conditions, which imply all of A's corner-sum bounds.  Those
+    permutations form an up-set in Bruhat order, so its minimal members
+    are the ones that cover no other member.
+    """
+    conditions = essential_rank_cells(A)
+    above = {
+        w
+        for w in perms.all_perms(len(A))
+        if all(perms.rank_function(w, i, j) <= r for i, j, r in conditions)
+    }
+    return above.difference(*map(perms.bruhat_covers, above))
 
 
 def degree_of(A: Asm) -> int:

@@ -203,6 +203,8 @@ def _verify_cases(args) -> list[tuple]:
     order = args.order or "diag"
     corner = _cell(args.corner) if args.corner else None
     if args.all_sn is not None:
+        if args.inputs:
+            raise ValueError("give case inputs or --all-sn N, not both")
         sweep = asm_mod.all_asms if kind == "asm" else perms.all_perms
         families = [[x] for x in sweep(args.all_sn)]
     elif args.inputs:

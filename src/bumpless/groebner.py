@@ -264,18 +264,13 @@ def _autoreduce(ring: Ring, ds) -> list[dict[int, int]]:
             continue
         kept.append(d)
     # Leads increase along ``kept`` and no lead divides another, so
-    # reduction never moves a lead and the reducers stay sorted.
+    # reduction never moves a lead and the reducers stay sorted.  A tail
+    # lies below its own lead, so one pass leaves every element reduced.
     reducers = [_reducer(d) for d in kept]
-    while True:
-        changed = False
-        for k, d in enumerate(kept):
-            nf = _primitive(_reduce_int(ring, d, reducers[:k] + reducers[k + 1 :]))
-            if nf != d:
-                kept[k] = nf
-                reducers[k] = _reducer(nf)
-                changed = True
-        if not changed:
-            return kept
+    for k, d in enumerate(kept):
+        kept[k] = _primitive(_reduce_int(ring, d, reducers[:k] + reducers[k + 1 :]))
+        reducers[k] = _reducer(kept[k])
+    return kept
 
 
 def is_groebner(gens) -> bool:

@@ -207,6 +207,30 @@ def test_perm_set_elements_above_and_incomparable_asm4():
             assert not P.bruhat_leq(u, w) and not P.bruhat_leq(w, u)
 
 
+def scanned_perm_set(mat):
+    """Reference: scan S_n for permutations whose rank matrix is at most
+    the corner sums of mat, and keep those with no smaller one below."""
+    n = len(mat)
+    rk = A.corner_sums(mat)
+    above = [
+        w
+        for w in P.all_perms(n)
+        if all(x <= y for rw, ra in zip(P.rank_matrix(w), rk) for x, y in zip(rw, ra))
+    ]
+    above.sort(key=P.coxeter_length)
+    minimal = []
+    for w in above:
+        if not any(P.bruhat_leq(v, w) for v in minimal):
+            minimal.append(w)
+    return set(minimal)
+
+
+def test_perm_set_matches_the_rank_matrix_scan_s4_s5():
+    for n in (4, 5):
+        for mat in A.all_asms(n):
+            assert A.perm_set(mat) == scanned_perm_set(mat)
+
+
 def test_essential_rank_cells_match_essential_set_on_permutations():
     for w in P.all_perms(4):
         cells = A.essential_rank_cells(A.from_permutation(w))

@@ -272,6 +272,21 @@ def test_all_sn_below_one_is_a_usage_error(capsys, target, size):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["main", "21", "--all-sn", "2"], "give case inputs or --all-sn N, not both"),
+        (["asm", "0 1; 1 0", "--all-sn", "2"], "give case inputs or --all-sn N, not both"),
+        (["transition"], "give case inputs or --all-sn N"),
+    ],
+)
+def test_case_inputs_or_a_sweep_but_not_both(capsys, argv, message):
+    assert cli.main(["--workers", "1", "verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_worker_pool_matches_sequential(capsys):
     seq = run(capsys, "--workers", "1", "verify", "transition", "--all-sn", "3")
     par = run(capsys, "--workers", "2", "verify", "transition", "--all-sn", "3")
