@@ -5,7 +5,9 @@ coefficients.  Reduction is fraction-free: instead of dividing by a
 leading coefficient it scales the whole intermediate result, which
 keeps every step in exact integer arithmetic; content is cleared when
 a computation finishes.  The completion loop is Buchberger's
-algorithm with the coprime-lead and chain pair criteria.  On homogeneous
+algorithm with the coprime-lead and chain pair criteria; the first is
+applied when a pair is formed, so a pair whose leads are coprime is
+never queued and counts as done for the chain criterion.  On homogeneous
 input it takes the pair of least sugar first, which there is the degree
 of the lcm (Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar
 cube, please", ISSAC 1991), ties broken by the smaller lcm; other input
@@ -154,11 +156,11 @@ def _reduce_int(ring: Ring, source: dict[int, int], reducers) -> dict[int, int]:
     return out
 
 
-def _spoly(ring: Ring, gi, gj, lmi, lci, lmj, lcj) -> dict[int, int]:
+def _spoly(ring: Ring, gi, gj, lmi, lmj) -> dict[int, int]:
     u = ring.lcm(lmi, lmj)
-    d = _int_gcd(lci, lcj)
-    ai = lcj // d
-    aj = lci // d
+    d = _int_gcd(gi[lmi], gj[lmj])
+    ai = gj[lmj] // d
+    aj = gi[lmi] // d
     ui = u - lmi
     uj = u - lmj
     out = {m + ui: c * ai for m, c in gi.items()}
@@ -193,7 +195,6 @@ def buchberger(gens, use_cache: bool = True) -> list[Poly]:
 
     basis: list[dict[int, int]] = []
     lms: list[int] = []
-    lcs: list[int] = []
     reducers: list = []
     alive: set[tuple[int, int]] = set()
     heap: list = []
@@ -209,12 +210,12 @@ def buchberger(gens, use_cache: bool = True) -> list[Poly]:
         basis.append(d)
         lm = max(d)
         lms.append(lm)
-        lcs.append(d[lm])
         insort(reducers, _reducer(d))
         for i in range(t):
             tau = ring.lcm(lms[i], lm)
-            alive.add((i, t))
-            heapq.heappush(heap, (degree(tau) if graded else 0, tau, i, t))
+            if tau != lms[i] + lm:
+                alive.add((i, t))
+                heapq.heappush(heap, (degree(tau) if graded else 0, tau, i, t))
 
     for s in seeds:
         d = dict(s)
@@ -225,8 +226,6 @@ def buchberger(gens, use_cache: bool = True) -> list[Poly]:
     while heap:
         _, tau, i, j = heapq.heappop(heap)
         alive.discard((i, j))
-        if tau == lms[i] + lms[j]:
-            continue
         tg = tau | ring._guard
         skip = False
         for k in range(len(basis)):
@@ -242,27 +241,25 @@ def buchberger(gens, use_cache: bool = True) -> list[Poly]:
             break
         if skip:
             continue
-        s = _spoly(ring, basis[i], basis[j], lms[i], lcs[i], lms[j], lcs[j])
+        s = _spoly(ring, basis[i], basis[j], lms[i], lms[j])
         nf = _primitive(_reduce_int(ring, s, reducers))
         if nf:
             push_element(nf)
 
-    reduced = _autoreduce(ring, basis)
+    reduced = _autoreduce(ring, basis, lms)
     result = [Poly(ring, d) for d in reduced]
     if path is not None:
         cache_mod.store_basis(ring, path, reduced)
     return result
 
 
-def _autoreduce(ring: Ring, ds) -> list[dict[int, int]]:
-    ds = [d for d in map(_primitive, ds) if d]
-    ds.sort(key=lambda d: (max(d), len(d)))
+def _autoreduce(ring: Ring, basis, lms) -> list[dict[int, int]]:
     kept: list[dict[int, int]] = []
-    for d in ds:
-        lm = max(d)
-        if any(ring.divides(max(e), lm) for e in kept):
-            continue
-        kept.append(d)
+    leads: list[int] = []
+    for k in sorted(range(len(basis)), key=lms.__getitem__):
+        if not any(ring.divides(e, lms[k]) for e in leads):
+            leads.append(lms[k])
+            kept.append(basis[k])
     # Leads increase along ``kept`` and no lead divides another, so
     # reduction never moves a lead and the reducers stay sorted.  A tail
     # lies below its own lead, so one pass leaves every element reduced.
@@ -283,10 +280,10 @@ def is_groebner(gens) -> bool:
     ring = _common_ring(gens)
     ds = [_primitive(g.terms) for g in gens]
     reducers = sorted(_reducer(d) for d in ds)
-    meta = [(max(d), d[max(d)]) for d in ds]
+    lms = [max(d) for d in ds]
     for i in range(len(ds)):
         for j in range(i + 1, len(ds)):
-            s = _spoly(ring, ds[i], ds[j], *meta[i], *meta[j])
+            s = _spoly(ring, ds[i], ds[j], lms[i], lms[j])
             if _reduce_int(ring, s, reducers):
                 return False
     return True
@@ -347,11 +344,9 @@ def initial_ideal(gens, use_cache: bool = True) -> list[int]:
     return leading_monomials(buchberger(gens, use_cache=use_cache))
 
 
-def ideal_equal(F, G, use_cache: bool = True) -> bool:
+def ideal_equal(F, G) -> bool:
     """Whether two generating sets span the same ideal."""
-    bf = buchberger(F, use_cache=use_cache)
-    bg = buchberger(G, use_cache=use_cache)
-    return [p.terms for p in bf] == [p.terms for p in bg]
+    return [p.terms for p in buchberger(F)] == [p.terms for p in buchberger(G)]
 
 
 def elimination_ring(inner: Ring, name: str = "t") -> Ring:
@@ -361,7 +356,7 @@ def elimination_ring(inner: Ring, name: str = "t") -> Ring:
     return Ring((name,) + inner.names, (0,) + tuple(v + 1 for v in inner.layout))
 
 
-def intersect_ideals(F, G, use_cache: bool = True) -> list[Poly]:
+def intersect_ideals(F, G) -> list[Poly]:
     """Reduced basis of the intersection of two ideals, found by
     eliminating a tag variable from t*F + (1-t)*G."""
     F = [f for f in F if not f.is_zero]
@@ -373,7 +368,7 @@ def intersect_ideals(F, G, use_cache: bool = True) -> list[Poly]:
     t = Poly.variable(ext, ext.names[0])
     tagged = [f.convert(ext) * t for f in F]
     tagged += [g.convert(ext) * (1 - t) for g in G]
-    gb = buchberger(tagged, use_cache=use_cache)
+    gb = buchberger(tagged)
     keep = [g for g in gb if ext.decode(g.leading_monomial())[0] == 0]
     for g in keep:
         if any(ext.decode(m)[0] for m in g.terms):
@@ -381,14 +376,14 @@ def intersect_ideals(F, G, use_cache: bool = True) -> list[Poly]:
     return [g.convert(ring) for g in keep]
 
 
-def intersect_many(ideals, use_cache: bool = True) -> list[Poly]:
+def intersect_many(ideals) -> list[Poly]:
     """Fold a sequence of generating sets into one intersection."""
     ideals = list(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
     acc = ideals[0]
     for nxt in ideals[1:]:
-        acc = intersect_ideals(acc, nxt, use_cache=use_cache)
+        acc = intersect_ideals(acc, nxt)
     return acc
 
 

@@ -149,15 +149,16 @@ def apply_transposition(w: Perm, i: int, j: int) -> Perm:
 
 
 def bruhat_covers(w: Perm) -> set[Perm]:
-    """All v = w·t_{i,j} with length exactly one more than w's."""
+    """All v = w·t_{i,j} with length exactly one more than w's: those with
+    w(i) < w(j) and no value between the two at a position between."""
     n = len(w)
-    target = coxeter_length(w) + 1
     out = set()
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            v = apply_transposition(w, i, j)
-            if coxeter_length(v) == target:
-                out.add(v)
+    for i in range(n):
+        high = n + 1  # least value above w(i) seen right of position i
+        for j in range(i + 1, n):
+            if w[i] < w[j] < high:
+                out.add(apply_transposition(w, i + 1, j + 1))
+                high = w[j]
     return out
 
 

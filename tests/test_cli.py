@@ -54,6 +54,20 @@ def test_json_report_schema_and_determinism(capsys):
     assert first == second
 
 
+def test_verify_asm_names_each_case_on_one_line(capsys):
+    rows = "0 1 0; 1 -1 1; 0 1 0"
+    code, out = run(capsys, "--workers", "1", "verify", "asm", rows, "0 1; 1 0")
+    assert code == 0
+    assert out.splitlines() == [
+        f"PASS {rows}  join-initial-ideal-three-ways",
+        "PASS 0 1; 1 0  join-initial-ideal-three-ways",
+        "2 passed, 0 failed",
+    ]
+    code, out = run(capsys, "--format", "json", "verify", "asm", rows)
+    assert code == 0
+    assert [r["case"] for r in json.loads(out)["reports"]] == [rows]
+
+
 def test_bpd_json_round_trips(capsys):
     code, out = run(capsys, "--format", "json", "bpd", "enum", "132")
     grids = [bpd.bpd_from_json(g) for g in json.loads(out)["bpds"]]

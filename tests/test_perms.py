@@ -194,6 +194,22 @@ def test_transposition_is_involutive(w, data):
     assert P.apply_transposition(P.apply_transposition(w, i, j), i, j) == w
 
 
+def covers_by_length(w):
+    """Every w·t_{i,j} whose length is one more than w's."""
+    target = P.coxeter_length(w) + 1
+    return {
+        v
+        for i, j in itertools.combinations(range(1, len(w) + 1), 2)
+        if P.coxeter_length(v := P.apply_transposition(w, i, j)) == target
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_covers_follow_the_cover_rule(n):
+    for w in P.all_perms(n):
+        assert P.bruhat_covers(w) == covers_by_length(w), w
+
+
 def test_covers_of_identity_s3():
     assert P.bruhat_covers(P.identity(3)) == {(2, 1, 3), (1, 3, 2)}
 
