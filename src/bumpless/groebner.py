@@ -12,9 +12,10 @@ input it takes the pair of least sugar first, which there is the degree
 of the lcm (Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar
 cube, please", ISSAC 1991), ties broken by the smaller lcm; other input
 takes the pair of smallest lcm.  The completion is followed by full
-autoreduction, so the returned basis is the reduced one: unique for a
-given ideal and order once scaled to integer coefficients with content
-one and a positive leading coefficient.
+autoreduction, so every basis returned here (by ``buchberger`` and the
+intersections) is the reduced one: unique for a given ideal and order
+once scaled to integer coefficients with content one and a positive
+leading coefficient.
 """
 
 from __future__ import annotations
@@ -377,14 +378,13 @@ def intersect_ideals(F, G) -> list[Poly]:
 
 
 def intersect_many(ideals) -> list[Poly]:
-    """Fold a sequence of generating sets into one intersection."""
+    """Reduced basis of the intersection of one or more generating sets."""
     ideals = list(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
-    acc = ideals[0]
-    for nxt in ideals[1:]:
-        acc = intersect_ideals(acc, nxt)
-    return acc
+    if len(ideals) == 1:
+        return buchberger(ideals[0])
+    return reduce(intersect_ideals, ideals)
 
 
 def cell_degrees(polys, cell) -> list[int]:

@@ -67,17 +67,6 @@ def rank_function(w: Perm, a: int, b: int) -> int:
     return sum(1 for i in range(a) if w[i] <= b)
 
 
-def rank_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
-    """The full (n+1) x (n+1) table of rank_function values, 0-row/col included."""
-    n = len(w)
-    rows = [(0,) * (n + 1)]
-    for i in range(1, n + 1):
-        prev = rows[-1]
-        v = w[i - 1]
-        rows.append(tuple(prev[j] + (1 if v <= j else 0) for j in range(n + 1)))
-    return tuple(rows)
-
-
 def rothe_diagram(w: Perm) -> frozenset[Cell]:
     """Cells (i, j) with w(i) > j and w^{-1}(j) > i."""
     inv = inverse(w)
@@ -108,15 +97,6 @@ def _southeast_maximal(cells) -> frozenset[Cell]:
         for (i, j) in cells
         if not any(c != (i, j) and c[0] >= i and c[1] >= j for c in cells)
     )
-
-
-def bruhat_leq(u: Perm, w: Perm) -> bool:
-    """u <= w in Bruhat order, tested as rk_u >= rk_w entrywise."""
-    if len(u) != len(w):
-        raise ValueError("size mismatch")
-    ru, rw = rank_matrix(u), rank_matrix(w)
-    n = len(u)
-    return all(ru[i][j] >= rw[i][j] for i in range(1, n + 1) for j in range(1, n + 1))
 
 
 def bigrassmannian(n: int, a: int, b: int, r: int) -> Perm:

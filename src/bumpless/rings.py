@@ -688,7 +688,10 @@ def parse_poly(ring, text):
 
     if not toks:
         raise ValueError("empty polynomial text")
-    result = expr()
+    try:
+        result = expr()
+    except RecursionError:
+        raise ValueError("polynomial text nests too deeply") from None
     if pos != len(toks):
         raise ValueError(f"trailing {toks[pos][1]!r} in polynomial text")
     return result

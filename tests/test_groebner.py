@@ -331,6 +331,22 @@ def test_intersection_edge_cases():
         gb.intersect_many([])
 
 
+def test_intersect_many_returns_the_reduced_basis():
+    ring = matrix_ring(3, "diag")
+    x, y, u, v = z(ring, 1, 1), z(ring, 1, 2), z(ring, 2, 1), z(ring, 2, 2)
+    det = gb.minor(ring, (1, 2), (1, 2))
+    # None of these is its own reduced basis.
+    F = [2 * det, x * det + det]
+    G = [x - u, 3 * y * y, y * y + x * y]
+    H = [y + u + v, u * u]
+    assert [p.terms for p in gb.intersect_many([F])] == [
+        p.terms for p in gb.buchberger(F)
+    ]
+    for ideals in ([F], [F, G], [F, G, H]):
+        got = gb.intersect_many(ideals)
+        assert [p.terms for p in gb.buchberger(got)] == [p.terms for p in got]
+
+
 def test_elimination_ring_avoids_collisions():
     inner = matrix_ring(2, "diag")
     ext = gb.elimination_ring(inner)

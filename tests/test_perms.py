@@ -3,11 +3,18 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from bumpless import asm as A
 from bumpless import perms as P
+from bumpless import transition as tr
 
 
 def brute_inversions(w):
     return sum(1 for i, j in itertools.combinations(range(len(w)), 2) if w[i] > w[j])
+
+
+def bruhat_leq(u, w):
+    """Bruhat order as the lattice order of permutation matrices."""
+    return A.asm_leq(A.from_permutation(u), A.from_permutation(w))
 
 
 def bruhat_closure_oracle(n):
@@ -94,10 +101,11 @@ def test_rank_matrix_231():
         (0, 0, 1, 2),
         (0, 1, 2, 3),
     )
-    assert P.rank_matrix(w) == expected
+    ranks = A.corner_sums(A.from_permutation(w))
+    assert ranks == expected
     for a in range(4):
         for b in range(4):
-            assert P.rank_matrix(w)[a][b] == P.rank_function(w, a, b)
+            assert ranks[a][b] == P.rank_function(w, a, b)
 
 
 def test_rothe_diagram_and_essential_set_4721653():
@@ -122,27 +130,29 @@ def test_corners_are_essential(w):
 
 
 def test_bruhat_examples():
-    assert P.bruhat_leq((2, 3, 1), (3, 2, 1))
-    assert P.bruhat_leq((3, 1, 2), (3, 2, 1))
-    assert not P.bruhat_leq((2, 3, 1), (3, 1, 2))
+    assert bruhat_leq((2, 3, 1), (3, 2, 1))
+    assert bruhat_leq((3, 1, 2), (3, 2, 1))
+    assert not bruhat_leq((2, 3, 1), (3, 1, 2))
     for w in P.all_perms(3):
-        assert P.bruhat_leq(P.identity(3), w)
+        assert bruhat_leq(P.identity(3), w)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_bruhat_agrees_with_cover_closure(n):
+    """The lattice order of ASMs, on permutation matrices, is the closure
+    of the Bruhat covers."""
     oracle = bruhat_closure_oracle(n)
     for u in P.all_perms(n):
         for w in P.all_perms(n):
-            assert P.bruhat_leq(u, w) == ((u, w) in oracle)
+            assert bruhat_leq(u, w) == ((u, w) in oracle)
 
 
 def test_bruhat_is_partial_order_on_s4():
     elems = list(P.all_perms(4))
     for u in elems:
-        assert P.bruhat_leq(u, u)
+        assert bruhat_leq(u, u)
     for u, w in itertools.permutations(elems, 2):
-        if P.bruhat_leq(u, w) and P.bruhat_leq(w, u):
+        if bruhat_leq(u, w) and bruhat_leq(w, u):
             pytest.fail(f"antisymmetry broken at {u}, {w}")
 
 
@@ -208,6 +218,15 @@ def covers_by_length(w):
 def test_covers_follow_the_cover_rule(n):
     for w in P.all_perms(n):
         assert P.bruhat_covers(w) == covers_by_length(w), w
+        # The exchange rows of a corner are the rows above it whose swap
+        # with the corner row is a cover of the shorter permutation v.
+        for a, b in P.lower_outside_corners(w):
+            v = P.apply_transposition(w, a, P.inverse(w)[b - 1])
+            up = covers_by_length(v)
+            phi = tuple(i for i in range(1, a) if P.apply_transposition(v, i, a) in up)
+            Phi = tuple(P.apply_transposition(v, i, a) for i in phi)
+            expected = tr.TransitionData(w, (a, b), v, phi, Phi)
+            assert tr.transition_data(w, (a, b)) == expected
 
 
 def test_covers_of_identity_s3():
@@ -220,7 +239,7 @@ def test_covers_increase_length_by_one(n):
         lw = P.coxeter_length(w)
         for v in P.bruhat_covers(w):
             assert P.coxeter_length(v) == lw + 1
-            assert P.bruhat_leq(w, v)
+            assert bruhat_leq(w, v)
 
 
 def test_all_perms_is_lexicographic():

@@ -448,6 +448,8 @@ def test_parse_rejects_garbage():
         "z[1,1]^32768",
         "z[1,1]^20000*z[1,1]^20000",
         "(z[1,1]^200)^200",
+        "(" * 400 + "z[1,1]" + ")" * 400,
+        "-" * 2000 + "z[1,1]",
     ):
         with pytest.raises(ValueError):
             parse_poly(R_DIAG, bad)

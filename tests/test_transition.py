@@ -240,6 +240,17 @@ def test_theorem_b_dominant_and_identity():
     assert tr.verify_theorem_B((1, 2, 3))["status"] == "pass"
 
 
+def test_theorem_b_reads_the_initial_ideal_off_the_certified_minors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("theorem B computed a Groebner basis")
+
+    monkeypatch.setattr(tr, "buchberger", refuse)
+    monkeypatch.setattr(tr, "initial_ideal", refuse)
+    for w in perms.all_perms(4):
+        report = tr.verify_theorem_B(w)
+        assert report["status"] == "pass", report
+
+
 @pytest.mark.parametrize("text", ["165432", "654321"])
 def test_theorem_b_slowest_of_s6(text):
     """The two slowest members of S6 under theorem B, both dominated by
