@@ -216,6 +216,8 @@ def asm_to_text(A: Asm) -> str:
 
 def asm_from_text(text: str) -> Asm:
     rows = [line.split() for line in text.strip().splitlines() if line.strip()]
+    if not rows:
+        raise ValueError("empty matrix text")
     try:
         entries = [[int(e) for e in row] for row in rows]
     except ValueError as exc:

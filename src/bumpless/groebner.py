@@ -192,7 +192,7 @@ def buchberger(gens, use_cache: bool = True) -> list[Poly]:
             path = cache_mod.entry_path(ring, seeds)
             hit = cache_mod.load_basis(ring, path)
             if hit is not None:
-                return [Poly(ring, terms) for terms in hit]
+                return [Poly._of(ring, terms) for terms in hit]
 
     basis: list[dict[int, int]] = []
     lms: list[int] = []
@@ -248,7 +248,7 @@ def buchberger(gens, use_cache: bool = True) -> list[Poly]:
             push_element(nf)
 
     reduced = _autoreduce(ring, basis, lms)
-    result = [Poly(ring, d) for d in reduced]
+    result = [Poly._of(ring, d) for d in reduced]
     if path is not None:
         cache_mod.store_basis(ring, path, reduced)
     return result
@@ -350,8 +350,10 @@ def ideal_equal(F, G) -> bool:
     return [p.terms for p in buchberger(F)] == [p.terms for p in buchberger(G)]
 
 
-def elimination_ring(inner: Ring, name: str = "t") -> Ring:
-    """Extend a ring by one fresh variable larger than everything."""
+def elimination_ring(inner: Ring) -> Ring:
+    """Extend a ring by one fresh tag variable whose slot sits above the
+    inner ring's unchanged slots: a tag-free term map packs alike in both."""
+    name = "t"
     while name in inner.names:
         name += "t"
     return Ring((name,) + inner.names, (0,) + tuple(v + 1 for v in inner.layout))
@@ -359,7 +361,8 @@ def elimination_ring(inner: Ring, name: str = "t") -> Ring:
 
 def intersect_ideals(F, G) -> list[Poly]:
     """Reduced basis of the intersection of two ideals, found by
-    eliminating a tag variable from t*F + (1-t)*G."""
+    eliminating a tag variable from t*F + (1-t)*G.  An element is free of
+    the tag when its lead lies below t, as every term lies below its lead."""
     F = [f for f in F if not f.is_zero]
     G = [g for g in G if not g.is_zero]
     if not F or not G:
@@ -367,14 +370,12 @@ def intersect_ideals(F, G) -> list[Poly]:
     ring = _common_ring(F + G)
     ext = elimination_ring(ring)
     t = Poly.variable(ext, ext.names[0])
-    tagged = [f.convert(ext) * t for f in F]
-    tagged += [g.convert(ext) * (1 - t) for g in G]
-    gb = buchberger(tagged)
-    keep = [g for g in gb if ext.decode(g.leading_monomial())[0] == 0]
-    for g in keep:
-        if any(ext.decode(m)[0] for m in g.terms):
-            raise AssertionError("tag variable survived below a tag-free lead")
-    return [g.convert(ring) for g in keep]
+    tagged = [Poly._of(ext, f.terms) * t for f in F]
+    tagged += [Poly._of(ext, g.terms) * (1 - t) for g in G]
+    top = t.leading_monomial()
+    return [
+        Poly._of(ring, g.terms) for g in buchberger(tagged) if g.leading_monomial() < top
+    ]
 
 
 def intersect_many(ideals) -> list[Poly]:
@@ -403,7 +404,9 @@ def cell_split(gb, cell) -> tuple[list[Poly], list[Poly]]:
 
     Writes each element as y*q + r with y absent from q and r, which
     requires every element to be linear in y.  Returns the pair
-    (all q's plus the y-free elements, the y-free elements alone).
+    (all q's plus the y-free elements, the y-free elements alone).  Of a
+    reduced basis under an order that puts y first, the y-free elements
+    are the reduced basis of the ideal's y-free part.
     """
     gb = [g for g in gb if not g.is_zero]
     if not gb:

@@ -9,11 +9,11 @@ addition.  The top bit of every slot is a guard kept at zero; it
 absorbs borrows during subtraction, which turns divisibility into
 three integer operations no matter how many variables there are.
 
-A layout may mention a variable more than once (repeating a variable
-up front refines the rest of the order by that variable's degree).
-Slot values are linear in the exponent vector, so monomial products
-and quotients stay consistent across repeated slots.  Exponents must
-stay below 2**15; nothing in this package gets anywhere near that.
+A layout is a permutation of the variables, one slot each.  An order
+that compares one variable first and then falls back to a base order
+moves that variable's slot to the top of the base layout
+(``refined_by_cell``).  Exponents must stay below 2**15; nothing in
+this package gets anywhere near that.
 """
 
 from __future__ import annotations
@@ -32,46 +32,35 @@ SLOT_CAP = 1 << (SLOT_BITS - 1)
 class Ring:
     """Polynomial ring with a fixed monomial order given by a slot layout."""
 
-    __slots__ = ("names", "layout", "_index", "_shifts", "_units",
-                 "_decode_shifts", "_guard", "_values", "_degree_mask",
-                 "_lanes", "_nbytes", "_unpack", "_pick")
+    __slots__ = ("names", "layout", "_index", "_units", "_decode_shifts",
+                 "_guard", "_values", "_lanes", "_nbytes", "_unpack", "_pick")
 
     def __init__(self, names, layout):
         self.names = tuple(names)
         self.layout = tuple(layout)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
-        if set(self.layout) != set(range(len(self.names))):
-            raise ValueError("layout must mention every variable at least once")
+        if sorted(self.layout) != list(range(len(self.names))):
+            raise ValueError("layout must be a permutation of the variables")
         self._index = {nm: v for v, nm in enumerate(self.names)}
         nslots = len(self.layout)
         shifts = tuple(SLOT_BITS * (nslots - 1 - k) for k in range(nslots))
-        self._shifts = shifts
-        units = [0] * len(self.names)
-        decode = [0] * len(self.names)
+        decode = [0] * nslots
         for k, v in enumerate(self.layout):
-            units[v] += 1 << shifts[k]
             decode[v] = shifts[k]
-        self._units = tuple(units)
+        self._units = tuple(1 << s for s in decode)
         self._decode_shifts = tuple(decode)
         self._guard = sum(SLOT_CAP << s for s in shifts)
         self._values = sum((SLOT_CAP - 1) << s for s in shifts)
-        # One slot per variable, and the low half of every 32-bit lane:
-        # what ``degree`` needs to add up the exponents without a loop.
-        self._degree_mask = sum((SLOT_CAP - 1) << s for s in decode)
+        # The low half of every 32-bit lane: what ``degree`` needs to add
+        # up the exponents without a loop.
         self._lanes = sum(0xFFFF << s for s in range(0, SLOT_BITS * nslots, 32))
         # ``decode`` unpacks every slot in one C call, then picks the slot
-        # of each variable, if the slots are not the variables in order (a
-        # slice keeps a one-variable pick a tuple).
+        # of each variable, if the slots are not the variables in order.
         self._nbytes = 2 * nslots
         self._unpack = struct.Struct(f">{nslots}H").unpack
         picks = [nslots - 1 - s // SLOT_BITS for s in decode]
-        if picks == list(range(nslots)):
-            self._pick = None
-        elif len(picks) == 1:
-            self._pick = itemgetter(slice(picks[0], picks[0] + 1))
-        else:
-            self._pick = itemgetter(*picks)
+        self._pick = None if picks == list(range(nslots)) else itemgetter(*picks)
 
     def __reduce__(self):
         return Ring, (self.names, self.layout)
@@ -85,7 +74,7 @@ class Ring:
         return hash((self.names, self.layout))
 
     def __repr__(self):
-        return f"Ring({len(self.names)} variables, {len(self.layout)} slots)"
+        return f"Ring({len(self.names)} variables)"
 
     def index(self, name):
         try:
@@ -120,10 +109,9 @@ class Ring:
         return slots if self._pick is None else self._pick(slots)
 
     def degree(self, m):
-        """Total degree: the exponents, one slot per variable, folded
-        pairwise into 32-bit lanes and summed by casting out 2**32 - 1.
-        Exact while the slot count stays below 2**17."""
-        m &= self._degree_mask
+        """Total degree: the slots folded pairwise into 32-bit lanes and
+        summed by casting out 2**32 - 1.  Exact while the slot count
+        stays below 2**17."""
         lanes = self._lanes
         return ((m & lanes) + ((m >> SLOT_BITS) & lanes)) % 0xFFFFFFFF
 
@@ -185,15 +173,16 @@ def column_layout(n):
     return tuple(j + n * i for j in range(n) for i in range(n))
 
 
-def cell_first_layout(n, cell):
-    """Lex order with one chosen cell largest, then right-to-left rows."""
-    v = _cell_slot(n, *cell)
-    return (v,) + tuple(k for k in antidiagonal_layout(n) if k != v)
-
-
 def refined_by_cell(n, cell, base_layout):
-    """Compare a chosen cell's degree first, break ties by the base order."""
-    return (_cell_slot(n, *cell),) + tuple(base_layout)
+    """Compare a chosen cell's degree first, break ties by the base order.
+
+    The cell's slot comes first and the base's other slots follow in
+    their order.  Once the cell's exponents tie, the base order compares
+    the rest, so this is the base order refined by the cell's degree;
+    the corner-first order ``tau:a,b`` is this over the antidiagonal
+    base."""
+    v = _cell_slot(n, *cell)
+    return (v,) + tuple(k for k in base_layout if k != v)
 
 
 def layout_from_spec(n, spec):
@@ -206,7 +195,7 @@ def layout_from_spec(n, spec):
         return column_layout(n)
     if spec.startswith("tau:"):
         a, b = _parse_cell(spec[4:])
-        return cell_first_layout(n, (a, b))
+        return refined_by_cell(n, (a, b), antidiagonal_layout(n))
     if spec.startswith("yref:"):
         rest = spec[5:]
         cell_part, sep, base_part = rest.partition(":")
@@ -256,6 +245,15 @@ class Poly:
             elif m in acc:
                 del acc[m]
         self.terms = acc
+
+    @classmethod
+    def _of(cls, ring, terms):
+        """Wrap a term map that has no zero coefficient, without copying
+        it: the caller hands the map over and never changes it again."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, ring):
@@ -309,18 +307,12 @@ class Poly:
                 acc[m] = nc
             else:
                 del acc[m]
-        out = Poly.__new__(Poly)
-        out.ring = self.ring
-        out.terms = acc
-        return out
+        return Poly._of(self.ring, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.ring = self.ring
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return Poly._of(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -335,10 +327,7 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Poly.zero(self.ring)
-            out = Poly.__new__(Poly)
-            out.ring = self.ring
-            out.terms = {m: c * other for m, c in self.terms.items()}
-            return out
+            return Poly._of(self.ring, {m: c * other for m, c in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -354,10 +343,7 @@ class Poly:
                     acc[key] = nc
                 elif key in acc:
                     del acc[key]
-        out = Poly.__new__(Poly)
-        out.ring = self.ring
-        out.terms = acc
-        return out
+        return Poly._of(self.ring, acc)
 
     __rmul__ = __mul__
 
@@ -421,8 +407,10 @@ class Poly:
         is never substituted into again, so ``{x1: x2, x2: x1}`` swaps.
         It runs one source variable at a time: the terms are grouped by
         that variable's exponent e, each group is mapped over the
-        remaining variables, and the result is multiplied by the cached
-        e-th power of the image and added into one accumulator.
+        remaining variables, and the result is multiplied by the e-th
+        power of the image and added into one accumulator.  The powers of
+        each image are kept in a list, filled in a loop up to the highest
+        exponent asked for.
         """
         images = images or {}
         ims = []
@@ -436,15 +424,14 @@ class Poly:
             else:
                 im = Poly.variable(target, nm)
             ims.append(im)
-        powers = [{} for _ in ims]
+        # powers[v][e - 1] is the e-th power of the image of variable v.
+        powers = [[im] for im in ims]
 
         def power(v, e):
-            cache = powers[v]
-            got = cache.get(e)
-            if got is None:
-                got = ims[v] if e == 1 else power(v, e - 1) * ims[v]
-                cache[e] = got
-            return got
+            got = powers[v]
+            while len(got) < e:
+                got.append(got[-1] * ims[v])
+            return got[e - 1]
 
         shifts = self.ring._decode_shifts
         units = self.ring._units
@@ -471,10 +458,7 @@ class Poly:
                             del acc[key]
             return acc
 
-        out = Poly.__new__(Poly)
-        out.ring = target
-        out.terms = substitute(self.terms, 0)
-        return out
+        return Poly._of(target, substitute(self.terms, 0))
 
     def term_map(self):
         """Monomial-text to coefficient mapping, leading term first."""
@@ -573,7 +557,7 @@ def exact_divide(f, g):
                     rem[key] = nc
                 else:
                     del rem[key]
-    return Poly(ring, out)
+    return Poly._of(ring, out)
 
 
 _TOKEN = re.compile(

@@ -82,7 +82,7 @@ def swap_adjacent_x(f: Poly, i: int) -> Poly:
         ea = (m >> sa) & (SLOT_CAP - 1)
         eb = (m >> sb) & (SLOT_CAP - 1)
         out[m + (ea - eb) * step] = c
-    return Poly(f.ring, out)
+    return Poly._of(ring, out)
 
 
 def divided_difference(f: Poly, i: int) -> Poly:
@@ -124,21 +124,23 @@ _MEMO: dict[tuple, Poly] = {}
 
 
 def _by_descents(w: Perm, ring: Ring, tag: str) -> Poly:
-    """The staircase is built only on a memo miss at the longest word."""
+    """Walk up by first ascents to a memo hit or to the longest word, then
+    back down, storing each step.  The staircase is built only on a memo
+    miss at the longest word."""
     n = len(w)
-    key = (tag, ring, w)
-    got = _MEMO.get(key)
-    if got is not None:
-        return got
+    top = longest_element(n)
     factor, step = _FAMILIES[tag]
-    if w == longest_element(n):
-        staircase = ((i, j) for i in range(1, n) for j in range(1, n - i + 1))
-        val = _product(ring, staircase, factor)
-    else:
+    below = []
+    while (tag, ring, w) not in _MEMO and w != top:
         i = next(i for i in range(1, n) if w[i - 1] < w[i])
-        higher = _by_descents(apply_transposition(w, i, i + 1), ring, tag)
-        val = globals()[step](higher, i)
-    _MEMO[key] = val
+        below.append((w, i))
+        w = apply_transposition(w, i, i + 1)
+    val = _MEMO.get((tag, ring, w))
+    if val is None:
+        staircase = ((i, j) for i in range(1, n) for j in range(1, n - i + 1))
+        val = _MEMO[(tag, ring, w)] = _product(ring, staircase, factor)
+    for w, i in reversed(below):
+        val = _MEMO[(tag, ring, w)] = globals()[step](val, i)
     return val
 
 

@@ -223,7 +223,8 @@ def verify_link_decomposition(w, corner: Cell) -> dict:
     a, b = corner
     n = len(w)
     R = matrix_ring(n, f"tau:{a},{b}")
-    C, N = map(buchberger, _split_at(fulton_generators(w, R), corner))
+    C, N = _split_at(fulton_generators(w, R), corner)
+    C = buchberger(C)
     failures = {}
 
     if N != buchberger(fulton_generators(td.v, R)):
@@ -415,14 +416,13 @@ def verify_intersectNs(ws, corner: Cell) -> dict:
     n = len(ws[0])
     a, b = corner
     R = matrix_ring(n, f"tau:{a},{b}")
-    _, N_whole = cell_split(
+    _, whole = cell_split(
         intersect_many([fulton_generators(w, R) for w in ws]), corner
     )
     parts = []
     for w in ws:
         _, N_w = _split_at(fulton_generators(w, R), corner)
         parts.append(N_w)
-    whole = buchberger(N_whole)
     combined = intersect_many(parts)
     ok = whole == combined
     witness = {}

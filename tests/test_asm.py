@@ -302,3 +302,11 @@ def test_text_round_trip():
     assert A.asm_from_text(txt) == EX_MINUS_ONE
     with pytest.raises(ValueError):
         A.asm_from_text("0 1\nx 0")
+
+
+@pytest.mark.parametrize("text", ["", "   ", "\n \n"])
+def test_empty_matrix_text_is_rejected(text):
+    with pytest.raises(ValueError, match="empty matrix text"):
+        A.asm_from_text(text)
+    # The 0 by 0 matrix itself stays a valid ASM.
+    assert A.validate_asm([]) == ()

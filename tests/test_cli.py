@@ -93,6 +93,33 @@ def test_deeply_nested_polynomial_is_a_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["ideal", "init", ""],
+        ["lattice", "perm", ""],
+        ["verify", "asm", ""],
+        ["verify", "asm", ";"],
+        ["lattice", "join", "", ""],
+    ],
+)
+def test_empty_matrix_text_is_a_usage_error(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty matrix text\n"
+
+
+def test_schubert_of_a_long_identity_does_not_recurse(capsys):
+    word = ",".join(map(str, range(1, 51)))
+    assert run(capsys, "poly", "schubert", word) == (0, "1\n")
+
+
+def test_high_power_multidegree_does_not_recurse(capsys):
+    argv = ("mono", "multidegree", "z[1,1]^1200", "--grading", "standard")
+    assert run(capsys, *argv) == (0, "1200*q\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["theoremB", "2143", "--order", "diag"],
         ["asm", "2143", "--order", "antidiag"],
         ["transition", "2143", "--corner", "3,3", "--order", "antidiag"],

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bumpless import asm
 from bumpless import groebner as gb
 from bumpless import perms
-from bumpless.rings import Poly, matrix_ring, parse_poly
+from bumpless.rings import Poly, lex_ring, matrix_ring, parse_poly
 
 R5_DIAG = matrix_ring(5, "diag")
 R5_ANTI = matrix_ring(5, "antidiag")
@@ -356,6 +356,42 @@ def test_elimination_ring_avoids_collisions():
     top = Poly.variable(ext, "t")
     big = Poly(ext, {ext.encode({nm: 9 for nm in inner.names}): 1})
     assert top.leading_monomial() > big.leading_monomial()
+
+
+ELIMINATION_INNERS = (
+    matrix_ring(3, "diag"),
+    matrix_ring(3, "antidiag"),
+    matrix_ring(3, "col-lex"),
+    matrix_ring(3, "tau:2,3"),
+    matrix_ring(3, "yref:2,2:diag"),
+    matrix_ring(3, "yref:3,1:col-lex"),
+    lex_ring(("x", "y", "u", "v")),
+)
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_tag_free_terms_pack_alike_in_the_elimination_ring(data):
+    for inner in ELIMINATION_INNERS:
+        ext = gb.elimination_ring(inner)
+        k = len(inner.names)
+        exps = st.lists(st.integers(min_value=0, max_value=4), min_size=k, max_size=k)
+        coeffs = st.integers(min_value=-3, max_value=3)
+        pairs = data.draw(st.lists(st.tuples(exps, coeffs), max_size=4))
+        f = Poly(inner, [(inner.encode(v), c) for v, c in pairs])
+        assert Poly(ext, f.terms) == f.convert(ext)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_free_half_of_a_corner_split_is_already_reduced(n):
+    """The y-free part of a reduced basis under an order that puts y first
+    is the reduced basis of the elimination ideal."""
+    for w in perms.all_perms(n):
+        for a, b in sorted(perms.lower_outside_corners(w)):
+            ring = matrix_ring(n, f"tau:{a},{b}")
+            basis = gb.buchberger(gb.fulton_generators(w, ring))
+            _, N = gb.cell_split(basis, (a, b))
+            assert gb.buchberger(N) == N, (w, (a, b))
 
 
 def test_cell_split_example():

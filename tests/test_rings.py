@@ -10,7 +10,6 @@ from bumpless.rings import (
     Poly,
     Ring,
     antidiagonal_layout,
-    cell_first_layout,
     column_layout,
     diagonal_layout,
     exact_divide,
@@ -37,21 +36,24 @@ def det2(ring):
     return zvar(ring, 1, 1) * zvar(ring, 2, 2) - zvar(ring, 1, 2) * zvar(ring, 2, 1)
 
 
-def test_layout_constructors_are_permutations_with_repeats():
+def test_layout_constructors_are_permutations():
     assert sorted(diagonal_layout(3)) == list(range(9))
     assert sorted(antidiagonal_layout(3)) == list(range(9))
     assert sorted(column_layout(3)) == list(range(9))
     assert antidiagonal_layout(2) == (1, 0, 3, 2)
     assert column_layout(2) == (0, 2, 1, 3)
-    assert cell_first_layout(2, (2, 1)) == (2, 1, 0, 3)
-    assert refined_by_cell(2, (1, 1), (0, 1, 2, 3)) == (0, 0, 1, 2, 3)
+    assert refined_by_cell(2, (2, 1), antidiagonal_layout(2)) == (2, 1, 0, 3)
+    assert refined_by_cell(2, (1, 1), (0, 1, 2, 3)) == (0, 1, 2, 3)
+    assert refined_by_cell(2, (2, 2), column_layout(2)) == (3, 0, 2, 1)
 
 
 def test_layout_from_spec_matches_constructors():
     assert layout_from_spec(3, "diag") == diagonal_layout(3)
     assert layout_from_spec(3, "antidiag") == antidiagonal_layout(3)
     assert layout_from_spec(3, "col-lex") == column_layout(3)
-    assert layout_from_spec(3, "tau:2,2") == cell_first_layout(3, (2, 2))
+    assert layout_from_spec(3, "tau:2,2") == refined_by_cell(
+        3, (2, 2), antidiagonal_layout(3)
+    )
     assert layout_from_spec(3, "yref:2,2:antidiag") == refined_by_cell(
         3, (2, 2), antidiagonal_layout(3)
     )
@@ -59,6 +61,38 @@ def test_layout_from_spec_matches_constructors():
         layout_from_spec(3, "grevlex")
     with pytest.raises(ValueError):
         layout_from_spec(3, "yref:2,2")
+
+
+def test_ring_rejects_a_repeated_slot():
+    with pytest.raises(ValueError, match="layout must be a permutation"):
+        Ring(("a", "b"), (0, 0, 1))
+    with pytest.raises(ValueError, match="layout must be a permutation"):
+        Ring(matrix_names(2), (3,) + diagonal_layout(2))
+
+
+BASES = ("diag", "antidiag", "col-lex")
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_refined_order_is_the_cell_then_the_base(data):
+    """yref:a,b:BASE compares the cell's exponent first and breaks ties by
+    BASE, at every cell of a 3 by 3 and a 4 by 4 matrix."""
+    for n in (3, 4):
+        vec = st.lists(
+            st.integers(min_value=0, max_value=3), min_size=n * n, max_size=n * n
+        )
+        u, v = data.draw(vec), data.draw(vec)
+        for base in BASES:
+            B = matrix_ring(n, base)
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    R = matrix_ring(n, f"yref:{a},{b}:{base}")
+                    k = (a - 1) * n + (b - 1)
+                    by_pair = (u[k], B.encode(u)) < (v[k], B.encode(v))
+                    assert (R.encode(u) < R.encode(v)) == by_pair
+                    if base == "antidiag":
+                        assert matrix_ring(n, f"tau:{a},{b}").layout == R.layout
 
 
 def test_ring_rejects_incomplete_layout():
@@ -249,7 +283,7 @@ def test_exact_divide_with_fraction_coefficients():
     assert all(type(c) is int for c in q.terms.values())
 
 
-def test_exact_divide_in_a_ring_with_a_repeated_slot():
+def test_exact_divide_in_a_corner_refined_ring():
     ring = matrix_ring(3, "yref:2,2:diag")
     a, b, c = zvar(ring, 1, 1), zvar(ring, 2, 2), zvar(ring, 2, 3)
     g = a * b - b * b + c
@@ -384,8 +418,9 @@ def evaluate(f, point):
     return total
 
 
-# Source with a repeated slot; the target has one variable more.
-MAP_SOURCE = Ring(("x1", "x2", "x3"), (1, 0, 2, 1))
+# Source whose slots are not its variables in order; the target has one
+# variable more.
+MAP_SOURCE = Ring(("x1", "x2", "x3"), (1, 0, 2))
 MAP_TARGET = lex_ring(("x1", "x2", "x3", "t"))
 
 
