@@ -43,7 +43,9 @@ def minor(ring: Ring, rows, cols) -> Poly:
     return _det(ring, rows, cols)
 
 
-@lru_cache(maxsize=None)
+# Bounded above the 3,432 sub-minors of one 7-by-7 ring, so a sweep
+# never evicts while a long-lived process cannot grow without bound.
+@lru_cache(maxsize=4096)
 def _det(ring, rows, cols):
     if not rows:
         return Poly.constant(ring, 1)

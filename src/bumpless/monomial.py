@@ -263,20 +263,23 @@ class MonomialIdeal:
             return Poly(target, {packed: 1})
 
         def K(gens: tuple[int, ...]) -> Poly:
-            if not gens:
-                return one
             if gens == (0,):
                 return Poly.zero(target)
-            got = memo.get(gens)
-            if got is not None:
-                return got
-            pivot = gens[-1]
-            rest = gens[:-1]
-            colon = _minimalize(
-                self.ring, (g - self.ring.gcd(g, pivot) for g in rest)
-            )
-            val = K(rest) - weight(pivot) * K(colon)
-            memo[gens] = val
+            val = memo.get(gens)
+            if val is not None:
+                return val
+            # K(J + m) = K(J) - t^m * K(J : m) for each prefix J + m of gens
+            # in turn, so recursion only goes into colon ideals.
+            val = one
+            for i, pivot in enumerate(gens):
+                prefix = gens[: i + 1]
+                got = memo.get(prefix)
+                if got is None:
+                    colon = _minimalize(
+                        self.ring, (g - self.ring.gcd(g, pivot) for g in gens[:i])
+                    )
+                    got = memo[prefix] = val - weight(pivot) * K(colon)
+                val = got
             return val
 
         return K(self.gens)

@@ -377,27 +377,6 @@ class Poly:
         """Canonical associate: integer coefficients, content 1, positive lead."""
         return Poly(self.ring, _primitive(self.terms))
 
-    def convert(self, target):
-        """Re-encode into a ring holding every variable that occurs."""
-        if target == self.ring:
-            return self
-        units = [
-            target._units[target._index[nm]] if nm in target._index else None
-            for nm in self.ring.names
-        ]
-        rekeyed = []
-        for m, c in self.terms.items():
-            key = 0
-            for v, e in enumerate(self.ring.decode(m)):
-                if e:
-                    if units[v] is None:
-                        raise ValueError(
-                            f"variable {self.ring.names[v]!r} is absent from the target"
-                        )
-                    key += e * units[v]
-            rekeyed.append((key, c))
-        return Poly(target, rekeyed)
-
     def map_variables(self, target, images=None):
         """Substitute polynomials for variables, landing in ``target``.
 

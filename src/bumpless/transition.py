@@ -14,11 +14,13 @@ F(w) = c1*F(v) + c2 * sum over nonempty U in phi of r**(|U|-1) * F(target(U)):
     family           F                  c1             c2              r
     double Schubert  schubert_poly      x_a + y_b      1               0
     Grothendieck     grothendieck_poly  circ           1 + beta*circ   beta
-    Hilbert series   k_of_quotient      1 - x_a*y_b    x_a*y_b         -1
+    Hilbert series   k_polynomial       1 - x_a*y_b    x_a*y_b         -1
 
-where circ = x_a + y_b + beta*x_a*y_b.  With r = 0 only the singletons
-of phi contribute: the cohomology recurrence is the K-theory one at
-beta = 0 (Lascoux, Transition on Grothendieck polynomials, 2001).
+where circ = x_a + y_b + beta*x_a*y_b, and the Hilbert row's F(u) is the
+K-polynomial of the initial ideal of u's determinantal ideal.  With r = 0
+only the singletons of phi contribute: the cohomology recurrence is the
+K-theory one at beta = 0 (Lascoux, Transition on Grothendieck
+polynomials, 2001).
 """
 
 from __future__ import annotations
@@ -183,29 +185,20 @@ def verify_grothendieck_transition(w, corner: Cell) -> dict:
     )
 
 
-_K_MEMO: dict[tuple, Poly] = {}
-
-
-def k_of_quotient(w, R: Ring, T: Ring) -> Poly:
-    """Numerator of the doubly-graded Hilbert series of the quotient by
-    the determinantal ideal of w, read off its initial ideal in R."""
-    key = (R, T, tuple(w))
-    got = _K_MEMO.get(key)
-    if got is None:
-        J = MonomialIdeal(R, initial_ideal(fulton_generators(w, R)))
-        got = J.k_polynomial(T, grading_images(R, T, "rows-columns"))
-        _K_MEMO[key] = got
-    return got
-
-
 def verify_hilbert_transition(w, corner: Cell, order: str = "diag") -> dict:
     """Corner recurrence for Hilbert-series numerators in the grading
     where the (i, j) entry carries weight x_i*y_j."""
     td = transition_data(w, corner)
     a, b = corner
     n = len(w)
+    R = matrix_ring(n, order)
     T = double_ring(n)
-    F = partial(k_of_quotient, R=matrix_ring(n, order), T=T)
+    images = grading_images(R, T, "rows-columns")
+
+    def F(u) -> Poly:
+        J = MonomialIdeal(R, initial_ideal(fulton_generators(u, R)))
+        return J.k_polynomial(T, images)
+
     xy = xvar(T, a) * yvar(T, b)
     return _corner_recurrence(td, "hilbert-transition", F, 1 - xy, xy, -1)
 
@@ -223,7 +216,7 @@ def verify_link_decomposition(w, corner: Cell) -> dict:
     a, b = corner
     n = len(w)
     R = matrix_ring(n, f"tau:{a},{b}")
-    C, N = _split_at(fulton_generators(w, R), corner)
+    C, N = cell_split(buchberger(fulton_generators(w, R)), corner)
     C = buchberger(C)
     failures = {}
 
@@ -258,15 +251,6 @@ def verify_link_decomposition(w, corner: Cell) -> dict:
     )
 
 
-def _initial_in(ring: Ring, gens) -> MonomialIdeal:
-    return MonomialIdeal(ring, initial_ideal(gens))
-
-
-def _convert_monomials(ms, source: Ring, target: Ring):
-    for m in ms:
-        yield Poly(source, {m: 1}).convert(target).leading_monomial()
-
-
 def verify_tau_formula(w, corner: Cell) -> dict:
     """Under the corner-first order, the initial ideal factors into the
     antidiagonal initial ideals of the exchange permutations and of the
@@ -276,11 +260,11 @@ def verify_tau_formula(w, corner: Cell) -> dict:
     n = len(w)
     R_tau = matrix_ring(n, f"tau:{a},{b}")
     R_anti = matrix_ring(n, "antidiag")
-    lhs = _initial_in(R_tau, fulton_generators(w, R_tau))
+    lhs = MonomialIdeal(R_tau, initial_ideal(fulton_generators(w, R_tau)))
 
     def anti(x) -> MonomialIdeal:
         packed = initial_ideal(fulton_generators(x, R_anti))
-        return MonomialIdeal(R_tau, _convert_monomials(packed, R_anti, R_tau))
+        return MonomialIdeal(R_tau, (R_tau.encode(R_anti.decode(m)) for m in packed))
 
     rhs = anti(td.v).plus([R_tau.variable(f"z[{a},{b}]")])
     for u in td.Phi:
@@ -293,10 +277,6 @@ def verify_tau_formula(w, corner: Cell) -> dict:
             "right": [R_tau.monomial_text(m) for m in rhs.gens],
         }
     return _report(_case_name([w], corner), "corner-first-initial", ok, witness)
-
-
-def _diagram_prime(ring: Ring, diagram) -> frozenset[int]:
-    return frozenset(ring.index(f"z[{i},{j}]") for i, j in diagram)
 
 
 def verify_main_theorem(ws, order: str = "diag") -> dict:
@@ -318,7 +298,7 @@ def verify_main_theorem(ws, order: str = "diag") -> dict:
     expected: dict[frozenset[int], int] = {}
     for w in ws:
         for grid in bpd_mod.enumerate_bpds(w):
-            P = _diagram_prime(R, bpd_mod.diagram(grid))
+            P = frozenset(R.index(f"z[{i},{j}]") for i, j in bpd_mod.diagram(grid))
             expected[P] = expected.get(P, 0) + 1
 
     gb = intersect_many([fulton_generators(w, R) for w in ws])
@@ -385,11 +365,6 @@ def verify_theorem_B(w) -> dict:
     )
 
 
-def _split_at(gens, corner: Cell):
-    gb = buchberger(gens)
-    return cell_split(gb, corner)
-
-
 def verify_linearity(ws, corner: Cell) -> dict:
     """No reduced-basis element of the intersection may carry the corner
     variable squared, under the corner-refined order."""
@@ -419,11 +394,9 @@ def verify_intersectNs(ws, corner: Cell) -> dict:
     _, whole = cell_split(
         intersect_many([fulton_generators(w, R) for w in ws]), corner
     )
-    parts = []
-    for w in ws:
-        _, N_w = _split_at(fulton_generators(w, R), corner)
-        parts.append(N_w)
-    combined = intersect_many(parts)
+    combined = intersect_many(
+        [cell_split(buchberger(fulton_generators(w, R)), corner)[1] for w in ws]
+    )
     ok = whole == combined
     witness = {}
     if not ok:
@@ -445,7 +418,7 @@ def verify_ycompat(ws, corner: Cell, order: str = "diag") -> dict:
 
     plain = MonomialIdeal(R_plain, leads(R_plain))
     refined = MonomialIdeal(
-        R_plain, _convert_monomials(leads(R_refined), R_refined, R_plain)
+        R_plain, (R_plain.encode(R_refined.decode(m)) for m in leads(R_refined))
     )
     ok = plain == refined
     witness = {}
@@ -464,7 +437,7 @@ def verify_asm_lattice(A) -> dict:
     A = asm_mod.validate_asm(A)
     n = len(A)
     R = matrix_ring(n, "antidiag")
-    own = _initial_in(R, asm_generators(A, R))
+    own = MonomialIdeal(R, initial_ideal(asm_generators(A, R)))
     failures: dict = {}
 
     family = sorted(asm_mod.bigrassmannian_join_decomposition(A))
@@ -481,7 +454,7 @@ def verify_asm_lattice(A) -> dict:
     users = sorted(asm_mod.perm_set(A))
     meet = reduce(
         MonomialIdeal.intersect,
-        (_initial_in(R, fulton_generators(w, R)) for w in users),
+        (MonomialIdeal(R, initial_ideal(fulton_generators(w, R))) for w in users),
     )
     if meet != own:
         failures["intersection-over-minimal-permutations"] = [

@@ -118,6 +118,35 @@ def test_high_power_multidegree_does_not_recurse(capsys):
 
 
 @pytest.mark.parametrize(
+    "action, expected",
+    [
+        ("kpoly", "1100*q^1101 - 1101*q^1100 + 1\n"),
+        ("multidegree", "605550*q^2\n"),
+    ],
+)
+def test_many_generators_do_not_recurse(action, expected, capsys):
+    # (z[1,1], z[1,2])^1100: K-polynomials used to recurse once per generator.
+    gens = ", ".join(f"z[1,1]^{a}*z[1,2]^{1100 - a}" for a in range(1101))
+    argv = ("mono", action, gens, "--grading", "standard")
+    assert run(capsys, *argv) == (0, expected)
+
+
+def test_ycompat_antidiag_failure_witness(capsys):
+    # Under antidiag the corner refinement changes the initial ideal, and
+    # the refined leads are re-packed into the plain ring for the witness.
+    argv = ("--format", "json", "verify", "ycompat", "1342", "--order", "antidiag")
+    code, out = run(capsys, *argv)
+    assert code == 1
+    (report,) = json.loads(out)["reports"]
+    assert report["case"] == "1342@3,2"
+    assert report["status"] == "fail"
+    assert report["witness"] == {
+        "plain": ["z[2,2]*z[3,1]", "z[1,2]*z[3,1]", "z[1,2]*z[2,1]"],
+        "refined": ["z[2,1]*z[3,2]", "z[1,1]*z[3,2]", "z[1,2]*z[2,1]"],
+    }
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["theoremB", "2143", "--order", "diag"],

@@ -9,11 +9,10 @@ from bumpless import bpd as bpd_mod
 from bumpless import perms
 from bumpless import transition as tr
 from bumpless.groebner import (
-    buchberger,
     fulton_generators,
     ideal_equal,
-    initial_ideal,
     intersect_many,
+    leading_monomials,
 )
 from bumpless.monomial import MonomialIdeal, prime_names
 from bumpless.rings import matrix_ring
@@ -181,7 +180,7 @@ def test_main_theorem_frozen_pair():
 
     ring = matrix_ring(3, "diag")
     gens = intersect_many([fulton_generators(w, ring) for w in [(2, 1, 3), (1, 3, 2)]])
-    J = MonomialIdeal(ring, initial_ideal(buchberger(gens, use_cache=False)))
+    J = MonomialIdeal(ring, leading_monomials(gens))
     mults = {prime_names(ring, P): J.multiplicity_at(P) for P in J.minimal_primes()}
     assert mults == {("z[1,1]",): 2, ("z[2,2]",): 1}
 
@@ -215,7 +214,7 @@ def test_partition_multiplicities():
     assert tr.verify_main_theorem(ws)["status"] == "pass"
     ring = matrix_ring(4, "diag")
     gens = intersect_many([fulton_generators(w, ring) for w in ws])
-    J = MonomialIdeal(ring, initial_ideal(buchberger(gens, use_cache=False)))
+    J = MonomialIdeal(ring, leading_monomials(gens))
     mults = {prime_names(ring, P): J.multiplicity_at(P) for P in J.minimal_primes()}
     assert mults == {
         ("z[1,1]",): 2,
