@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -145,7 +146,7 @@ def cmd_mono(args) -> int:
         _emit(args, [" , ".join(p) for p in names], {"primes": names})
     else:
         grading = args.grading or "rows-columns"
-        n = max(int(v) for nm in ring.names for v in re.findall(r"\d+", nm))
+        n = math.isqrt(len(ring.names))
         if grading == "standard":
             target = lex_ring(("q",))
         elif grading == "rows":

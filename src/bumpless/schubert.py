@@ -4,6 +4,9 @@ Each family is named once, by a tag in ``_FAMILIES`` giving its cell
 factor and its step operator.  The operator route multiplies the factor
 over the staircase cells i + j <= n and steps down once per ascent; the
 tiling route multiplies it over the blank cells of each droop tiling.
+Both work at the permutation's own size n, the last i with w(i) != i,
+not at the ring's: the polynomials are stable, S_{w x 1} = S_w, so a
+fixed tail changes nothing and costs nothing.
 
     tag  family                  factor                 step
     "S"  double Schubert         x_i + y_j              divided_difference
@@ -43,22 +46,6 @@ def grothendieck_ring(n: int) -> Ring:
     names = tuple(f"x{i}" for i in range(1, n + 1))
     names += tuple(f"y{j}" for j in range(1, n + 1))
     return lex_ring(names + (BETA,))
-
-
-def ring_size(ring: Ring) -> int:
-    """How many x variables the ring carries."""
-    n = 0
-    while f"x{n + 1}" in ring._index:
-        n += 1
-    if n == 0:
-        raise ValueError("ring has no x variables")
-    return n
-
-
-def pad(w: Perm, n: int) -> Perm:
-    if len(w) > n:
-        raise ValueError(f"permutation of {len(w)} does not fit {n} variables")
-    return validate_perm(tuple(w) + tuple(range(len(w) + 1, n + 1)))
 
 
 def xvar(ring: Ring, i: int) -> Poly:
@@ -123,6 +110,16 @@ _FAMILIES = {
 _MEMO: dict[tuple, Poly] = {}
 
 
+def _own_word(w: Perm, ring: Ring) -> Perm:
+    """w without its fixed tail, down to (1,) for any identity; the ring
+    must carry x_k for that own size k."""
+    w = validate_perm(w)
+    k = next((i for i in range(len(w), 1, -1) if w[i - 1] != i), 1)
+    if f"x{k}" not in ring._index:
+        raise ValueError(f"permutation of own size {k} needs x{k} in the ring")
+    return w[:k]
+
+
 def _by_descents(w: Perm, ring: Ring, tag: str) -> Poly:
     """Walk up by first ascents to a memo hit or to the longest word, then
     back down, storing each step.  The staircase is built only on a memo
@@ -146,17 +143,17 @@ def _by_descents(w: Perm, ring: Ring, tag: str) -> Poly:
 
 def schubert_poly(w: Perm, ring: Ring) -> Poly:
     """Double polynomial via divided differences down from the staircase."""
-    return _by_descents(pad(w, ring_size(ring)), ring, "S")
+    return _by_descents(_own_word(w, ring), ring, "S")
 
 
 def grothendieck_poly(w: Perm, ring: Ring) -> Poly:
     """Double K-polynomial via isobaric operators; ring needs beta."""
-    return _by_descents(pad(w, ring_size(ring)), ring, "G")
+    return _by_descents(_own_word(w, ring), ring, "G")
 
 
 def single_schubert_poly(w: Perm, ring: Ring) -> Poly:
     """One-variable-family polynomial, down from x1^(n-1)*x2^(n-2)*..."""
-    return _by_descents(pad(w, ring_size(ring)), ring, "s")
+    return _by_descents(_own_word(w, ring), ring, "s")
 
 
 def bpd_schubert_poly(w: Perm, ring: Ring) -> Poly:
@@ -171,12 +168,12 @@ def bpd_single_schubert_poly(w: Perm, ring: Ring) -> Poly:
 
 
 def _tiling_sum(w: Perm, ring: Ring, tag: str) -> Poly:
-    w = pad(w, ring_size(ring))
+    w = _own_word(w, ring)
     # Each cell's factor is built once per call, not once per tiling.
     factor = cache(_FAMILIES[tag][0])
     total = Poly.zero(ring)
-    for grid in sorted(bpd_mod.enumerate_bpds(w)):
-        total = total + _product(ring, sorted(bpd_mod.diagram(grid)), factor)
+    for grid in bpd_mod.enumerate_bpds(w):
+        total = total + _product(ring, bpd_mod.diagram(grid), factor)
     return total
 
 

@@ -18,9 +18,7 @@ from bumpless.schubert import (
     grothendieck_poly,
     grothendieck_ring,
     isobaric_divided_difference,
-    pad,
     principal_value,
-    ring_size,
     schubert_poly,
     set_beta,
     single_schubert_poly,
@@ -85,18 +83,27 @@ def test_grothendieck_top_term_count():
     assert all(c != 0 for c in g.terms.values())
 
 
-def test_staircase_is_built_once_per_family_and_ring(monkeypatch):
-    # Repeated calls on equal (not identical) rings hit the memo; the
-    # top of each family is multiplied out once, on the first call.
+def _count_cells(monkeypatch):
+    """Empty the memo and record how many cells each staircase build
+    multiplies out, with the ring it is built in."""
     monkeypatch.setattr(schubert, "_MEMO", {})
     builds = []
     product = schubert._product
 
     def counted(ring, cells, factor):
-        builds.append(ring)
+        cells = list(cells)
+        builds.append((ring, len(cells)))
         return product(ring, cells, factor)
 
     monkeypatch.setattr(schubert, "_product", counted)
+    return builds
+
+
+def test_staircase_is_built_once_per_family_ring_and_size(monkeypatch):
+    # Repeated calls on equal (not identical) rings hit the memo; the
+    # top of each own size, S1 to S4 in the order sorted S4 first reaches
+    # them, is multiplied out once per family, on the first call.
+    builds = _count_cells(monkeypatch)
     families = [
         (schubert_poly, double_ring),
         (grothendieck_poly, grothendieck_ring),
@@ -106,8 +113,36 @@ def test_staircase_is_built_once_per_family_and_ring(monkeypatch):
     for f, ring in families:
         for w in reversed(S4):
             assert f(w, ring(4)) == first[f, w]
-    assert builds == [double_ring(4), grothendieck_ring(4), x_ring(4)]
+    assert builds == [
+        (ring(4), cells) for _, ring in families for cells in (0, 6, 3, 1)
+    ]
     assert len(schubert._MEMO) == 3 * len(S4)
+
+
+def test_padded_word_builds_only_its_own_staircase(monkeypatch):
+    builds = _count_cells(monkeypatch)
+    assert schubert_poly((2, 1, 3, 4, 5), double_ring(5)).to_text() == "x1 + y1"
+    assert builds == [(double_ring(5), 1)]
+
+
+ENTRY_POINTS = [
+    (schubert_poly, double_ring),
+    (grothendieck_poly, grothendieck_ring),
+    (single_schubert_poly, x_ring),
+    (bpd_schubert_poly, double_ring),
+    (bpd_single_schubert_poly, x_ring),
+]
+
+
+@pytest.mark.parametrize("f, make_ring", ENTRY_POINTS)
+def test_padded_words_give_their_own_size_polynomial(f, make_ring):
+    for k in range(1, 5):
+        for w in permutations(range(1, k + 1)):
+            own = f(w, make_ring(k)).to_text()
+            for n in (5, 6):
+                ring = make_ring(n)
+                padded = w + tuple(range(k + 1, n + 1))
+                assert f(padded, ring) == parse_poly(ring, own), (w, n)
 
 
 def test_principal_value_counts_tilings():
@@ -126,15 +161,14 @@ def test_stability_under_padding():
     a = schubert_poly((1, 3, 2), D3)
     b = schubert_poly((1, 3, 2), D4)
     assert parse_poly(D4, a.to_text()) == b
-    assert pad((1, 3, 2), 5) == (1, 3, 2, 4, 5)
-    with pytest.raises(ValueError, match="does not fit"):
-        schubert_poly((2, 1, 4, 3, 5), D4)
+    assert schubert_poly((2, 1, 4, 3, 5), D4) == schubert_poly((2, 1, 4, 3), D4)
 
 
-def test_ring_size_requires_x():
-    assert ring_size(D4) == 4
-    with pytest.raises(ValueError, match="no x variables"):
-        ring_size(matrix_ring(2))
+def test_word_too_big_or_ring_without_x_raises():
+    with pytest.raises(ValueError, match="needs x5"):
+        schubert_poly((2, 1, 3, 5, 4), D4)
+    with pytest.raises(ValueError, match="needs x1"):
+        schubert_poly((1,), matrix_ring(2))
 
 
 def test_operator_identities():
