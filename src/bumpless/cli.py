@@ -4,7 +4,8 @@ and the verification harness, with text or JSON output.
 Exit codes: 0 success, 1 at least one verification case failed, 2 bad input.
 
 ``main`` builds the argument parser once per process and reuses it on
-every call; ``BUMPLESS_WORKERS`` is still read on every call.
+every call; a call changes neither the parser nor the environment.  The
+basis cache directory is read from ``BUMPLESS_CACHE_DIR`` by the library.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _perm(text: str):
 
 
 def _asm(text: str):
-    return asm_mod.asm_from_text(text.replace(";", "\n").replace("/", "\n"))
+    return asm_mod.asm_from_text(text.replace(";", "\n"))
 
 
 def _perm_or_asm(text: str):
@@ -54,7 +55,7 @@ def _perm_or_asm(text: str):
 
 
 def _cell(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"\s*(\d+)\s*[,x]\s*(\d+)\s*", text)
+    m = re.fullmatch(r"\s*(\d+)\s*,\s*(\d+)\s*", text)
     if not m:
         raise ValueError(f"expected a cell like 3,2 — got {text!r}")
     return int(m.group(1)), int(m.group(2))
@@ -241,7 +242,8 @@ def run_verify_case(case: tuple) -> dict:
 
 def cmd_verify(args) -> int:
     cases = _verify_cases(args)
-    workers = min(args.workers, len(cases), os.cpu_count() or 1)
+    cores = os.cpu_count() or 1
+    workers = min(args.workers or cores, len(cases), cores)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_verify_case, cases))
@@ -272,10 +274,6 @@ def _at_least_one(need: str):
     return convert
 
 
-def _workers_default():
-    return os.environ.get("BUMPLESS_WORKERS", os.cpu_count() or 1)
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="bumpless",
@@ -285,28 +283,24 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--workers",
         type=_at_least_one("need at least 1 worker"),
-        default=_workers_default(),
+        default=None,
         help="parallel verification cases (default: available cores)",
     )
-    top.add_argument("--cache-dir", help="basis cache directory override")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bpd", help="enumerate or count pipe tilings")
     p.add_argument("action", choices=("enum", "count"))
     p.add_argument("word")
-    p.set_defaults(fn=cmd_bpd)
 
     p = sub.add_parser("poly", help="Schubert and Grothendieck polynomials")
     p.add_argument("kind", choices=("schubert", "dschubert", "groth"))
     p.add_argument("word")
     p.add_argument("--beta", type=int, default=None, help="substitute beta (groth only)")
-    p.set_defaults(fn=cmd_poly)
 
     p = sub.add_parser("ideal", help="determinantal generators and bases")
     p.add_argument("kind", choices=("fulton", "asm", "gb", "init"))
     p.add_argument("input", help="permutation word, or ASM rows split by ;")
     p.add_argument("--order", default="antidiag", help="diag | antidiag | col-lex | tau:a,b | yref:a,b:BASE")
-    p.set_defaults(fn=cmd_ideal)
 
     p = sub.add_parser("mono", help="monomial-ideal decompositions and gradings")
     p.add_argument("action", choices=("decompose", "ass", "kpoly", "multidegree"))
@@ -318,12 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="default rows-columns; kpoly and multidegree only",
     )
-    p.set_defaults(fn=cmd_mono)
 
     p = sub.add_parser("lattice", help="ASM lattice operations")
     p.add_argument("action", choices=("join", "meet", "perm", "decompose"))
     p.add_argument("inputs", nargs="+", help="permutations or ASMs")
-    p.set_defaults(fn=cmd_lattice)
 
     p = sub.add_parser("verify", help="run verification cases")
     p.add_argument("target", choices=VERIFIERS)
@@ -333,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep every case at matrix size N")
     p.add_argument("--corner", default=None, help="cell a,b (not main, theoremB, asm)")
     p.add_argument("--order", default=None, help="default diag; main, hilbert, ycompat")
-    p.set_defaults(fn=cmd_verify)
     return top
 
 
@@ -344,22 +335,13 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    # The parser outlives the call; the environment is read afresh.
-    _parser.set_defaults(workers=_workers_default())
     args = _parser.parse_args(argv)
-    saved = os.environ.get("BUMPLESS_CACHE_DIR")
-    if args.cache_dir:
-        os.environ["BUMPLESS_CACHE_DIR"] = args.cache_dir
     try:
-        return args.fn(args)
+        # By name at call time, like the verifiers: a rebound handler is used.
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if saved is None:
-            os.environ.pop("BUMPLESS_CACHE_DIR", None)
-        else:
-            os.environ["BUMPLESS_CACHE_DIR"] = saved
 
 
 if __name__ == "__main__":

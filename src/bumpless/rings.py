@@ -185,24 +185,28 @@ def refined_by_cell(n, cell, base_layout):
     return (v,) + tuple(k for k in base_layout if k != v)
 
 
+_BASE_LAYOUTS = {
+    "diag": diagonal_layout,
+    "antidiag": antidiagonal_layout,
+    "col-lex": column_layout,
+}
+
+
 def layout_from_spec(n, spec):
-    """Parse an order name: diag, antidiag, col-lex, tau:a,b, yref:a,b:BASE."""
-    if spec == "diag":
-        return diagonal_layout(n)
-    if spec == "antidiag":
-        return antidiagonal_layout(n)
-    if spec == "col-lex":
-        return column_layout(n)
+    """Parse an order name: diag, antidiag, col-lex, tau:a,b, or
+    yref:a,b:BASE with BASE one of the first three."""
+    if spec in _BASE_LAYOUTS:
+        return _BASE_LAYOUTS[spec](n)
     if spec.startswith("tau:"):
-        a, b = _parse_cell(spec[4:])
-        return refined_by_cell(n, (a, b), antidiagonal_layout(n))
+        return refined_by_cell(n, _parse_cell(spec[4:]), antidiagonal_layout(n))
     if spec.startswith("yref:"):
-        rest = spec[5:]
-        cell_part, sep, base_part = rest.partition(":")
+        cell_part, sep, base = spec[5:].partition(":")
         if not sep:
             raise ValueError(f"order {spec!r} is missing its base order")
-        a, b = _parse_cell(cell_part)
-        return refined_by_cell(n, (a, b), layout_from_spec(n, base_part))
+        cell = _parse_cell(cell_part)
+        if base not in _BASE_LAYOUTS:
+            raise ValueError(f"a yref base must be diag, antidiag or col-lex, not {base!r}")
+        return refined_by_cell(n, cell, _BASE_LAYOUTS[base](n))
     raise ValueError(f"unknown order {spec!r}")
 
 

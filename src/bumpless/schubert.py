@@ -108,6 +108,9 @@ _FAMILIES = {
 }
 
 _MEMO: dict[tuple, Poly] = {}
+# A walk that finds the memo this full empties it first, so a long-lived
+# process holds at most this many entries plus one walk.
+_MEMO_CAP = 4096
 
 
 def _own_word(w: Perm, ring: Ring) -> Perm:
@@ -127,6 +130,8 @@ def _by_descents(w: Perm, ring: Ring, tag: str) -> Poly:
     n = len(w)
     top = longest_element(n)
     factor, step = _FAMILIES[tag]
+    if len(_MEMO) >= _MEMO_CAP:
+        _MEMO.clear()
     below = []
     while (tag, ring, w) not in _MEMO and w != top:
         i = next(i for i in range(1, n) if w[i - 1] < w[i])

@@ -263,32 +263,6 @@ def test_beta_substitution(capsys):
     assert flat.strip() == "x1 + y1"
 
 
-def test_cache_dir_flag(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("BUMPLESS_CACHE_DIR", raising=False)
-    code, _ = run(capsys, "--cache-dir", str(tmp_path), "ideal", "gb", "21543")
-    assert code == 0
-    assert list(tmp_path.glob("gb-*.json"))
-    assert "BUMPLESS_CACHE_DIR" not in os.environ
-
-
-def test_cache_dir_flag_restores_the_environment(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(tmp_path / "outer"))
-    code, _ = run(capsys, "--cache-dir", str(tmp_path / "inner"), "ideal", "gb", "21543")
-    assert code == 0
-    assert list((tmp_path / "inner").glob("gb-*.json"))
-    assert os.environ["BUMPLESS_CACHE_DIR"] == str(tmp_path / "outer")
-
-
-def test_bad_workers_environment_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("BUMPLESS_WORKERS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["bpd", "count", "21"])
-    assert exc.value.code == 2
-    assert "--workers" in capsys.readouterr().err
-    monkeypatch.setenv("BUMPLESS_WORKERS", "3")
-    assert cli.build_parser().parse_args(["bpd", "count", "21"]).workers == 3
-
-
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records the pool size it was
     asked for and runs the cases in this process."""
@@ -323,7 +297,9 @@ def test_worker_pool_is_clamped(capsys, monkeypatch, workers, cores, expected):
 
 
 @pytest.mark.parametrize(
-    "argv, env", [(["--workers", "0"], None), ([], "0"), (["--workers", "-2"], None)]
+    # A BUMPLESS_WORKERS left in the environment is not read in its place.
+    "argv, env",
+    [(["--workers", "0"], None), (["--workers", "0"], "4"), (["--workers", "-2"], None)],
 )
 def test_workers_below_one_is_a_usage_error(capsys, monkeypatch, argv, env):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
@@ -388,40 +364,85 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     assert len(built) == 1
 
 
-def test_workers_environment_is_read_on_every_call(capsys, monkeypatch):
+def test_no_option_carries_over_to_the_next_call(capsys, monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     argv = ("verify", "transition", "--all-sn", "3")
-    for env in ("2", "3", None):
-        if env is None:
-            monkeypatch.delenv("BUMPLESS_WORKERS")
-        else:
-            monkeypatch.setenv("BUMPLESS_WORKERS", env)
-        assert run(capsys, *argv)[0] == 0
-    assert RecordingPool.sizes == [2, 3, 4]
+    code, first = run(capsys, "--format", "json", "--workers", "2", *argv)
+    assert code == 0
+    reports = json.loads(first)["reports"]
+    code, second = run(capsys, *argv)
+    assert code == 0
+    assert second.splitlines()[:-1] == [
+        f"{r['status'].upper():4} {r['case']}  {r['statement']}" for r in reports
+    ]
+    assert RecordingPool.sizes == [2, 4]
+
+
+def test_calls_change_neither_the_environment_nor_the_parser(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "_parser", None)
+    env = dict(os.environ)
+    calls = [
+        (["bpd", "count", "2143"], 0),
+        (["--format", "json", "ideal", "gb", "21543"], 0),
+        (["lattice", "meet", "123", "12"], 2),
+        (["--workers", "2", "verify", "transition", "--all-sn", "3"], 0),
+        (["mono", "kpoly", "z[1,1]", "--grading", "standard"], 0),
+    ]
+    for argv, expected in calls:
+        assert cli.main(argv) == expected
+        assert dict(os.environ) == env
+        assert cli._parser.get_default("workers") is None
+    capsys.readouterr()
+    assert RecordingPool.sizes == [2]
+
+
+def test_unknown_cache_dir_option_is_a_usage_error(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--cache-dir", str(tmp_path), "ideal", "gb", "21543"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_workers_environment_is_not_read(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setenv("BUMPLESS_WORKERS", "abc")
-    with pytest.raises(SystemExit):
-        cli.main(list(argv))
-    monkeypatch.setenv("BUMPLESS_WORKERS", "1")
-    assert run(capsys, *argv)[0] == 0
-    assert RecordingPool.sizes == [2, 3, 4]
+    argv = ("verify", "transition", "--all-sn", "3")
+    code, default = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, "--workers", "2", *argv) == (0, default)
+    # six cases, so the three cores bound the default pool
+    assert RecordingPool.sizes == [3, 2]
 
 
-def test_no_option_carries_over_to_the_next_call(capsys, tmp_path, monkeypatch):
-    outer, inner = tmp_path / "outer", tmp_path / "inner"
-    monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(outer))
-    code, first = run(
-        capsys, "--format", "json", "--cache-dir", str(inner), "ideal", "gb", "21543"
-    )
-    assert code == 0
-    generators = json.loads(first)["generators"]
-    code, second = run(capsys, "ideal", "gb", "21543")
-    assert code == 0
-    assert second == "".join(f"{g}\n" for g in generators)
-    assert len(list(inner.glob("gb-*.json"))) == 1
-    assert len(list(outer.glob("gb-*.json"))) == 1
-    assert os.environ["BUMPLESS_CACHE_DIR"] == str(outer)
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ideal", "init", "21", "--order", "yref:1,1:" * 3000 + "diag"],
+         "a yref base must be diag, antidiag or col-lex, not 'yref:1,1:"),
+        (["mono", "kpoly", "z[1,1]", "--order", "yref:1,1:" * 3000 + "diag"],
+         "a yref base must be diag, antidiag or col-lex, not 'yref:1,1:"),
+        (["verify", "ycompat", "2143", "--corner", "3,3", "--order", "tau:2,2"],
+         "a yref base must be diag, antidiag or col-lex, not 'tau:2,2'"),
+        (["verify", "transition", "2143", "--corner", "3x3"],
+         "expected a cell like 3,2 — got '3x3'"),
+        (["lattice", "perm", "0 1/1 0"], "ASM text must contain integer entries"),
+    ],
+    ids=["deep-yref-ideal", "deep-yref-mono", "tau-base", "cell-x", "asm-slash"],
+)
+def test_input_outside_the_grammar_is_a_usage_error(capsys, argv, message):
+    assert cli.main(["--workers", "1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def help_text(capsys, *argv):

@@ -63,6 +63,17 @@ def test_layout_from_spec_matches_constructors():
         layout_from_spec(3, "yref:2,2")
 
 
+@pytest.mark.parametrize("base", ["tau:2,2", "yref:1,1:diag", "grevlex", ""])
+def test_yref_base_is_one_of_the_three_plain_orders(base):
+    with pytest.raises(ValueError, match="yref base must be diag, antidiag or col-lex"):
+        layout_from_spec(3, f"yref:2,2:{base}")
+
+
+def test_deeply_nested_yref_is_rejected_without_recursing():
+    with pytest.raises(ValueError, match="yref base must be"):
+        layout_from_spec(3, "yref:1,1:" * 3000 + "diag")
+
+
 def test_ring_rejects_a_repeated_slot():
     with pytest.raises(ValueError, match="layout must be a permutation"):
         Ring(("a", "b"), (0, 0, 1))

@@ -221,3 +221,24 @@ def test_k_polynomial_order_independent():
             J = MonomialIdeal(R, initial_ideal(gb))
             ks.append(J.k_polynomial(T, grading_images(R, T, "rows-columns")))
         assert ks[0] == ks[1]
+
+
+def test_memo_is_bounded_without_changing_an_answer(monkeypatch):
+    # Under a cap of 10 a walk starts on at most 9 entries and adds at
+    # most 7 (S4's longest chain up to the top), so 16 is the ceiling.
+    families = [
+        (schubert_poly, double_ring),
+        (grothendieck_poly, grothendieck_ring),
+        (single_schubert_poly, x_ring),
+    ]
+    monkeypatch.setattr(schubert, "_MEMO", {})
+    uncapped = {(f, w): f(w, ring(4)) for f, ring in families for w in S4}
+    monkeypatch.setattr(schubert, "_MEMO", {})
+    monkeypatch.setattr(schubert, "_MEMO_CAP", 10)
+    sizes = []
+    for f, ring in families:
+        for w in S4:
+            assert f(w, ring(4)) == uncapped[f, w]
+            sizes.append(len(schubert._MEMO))
+    assert 10 < max(sizes) <= 16
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
