@@ -184,15 +184,15 @@ def buchberger(gens, use_cache: bool = True) -> list[Poly]:
         return []
     ring = _common_ring(gens)
     seeds = sorted({tuple(sorted(_primitive(g.terms).items())) for g in gens})
-    path = None
+    key = None
     if use_cache:
         # Seeds whose leads are pairwise coprime (their lcm is their
         # product) are a Groebner basis already, by the first criterion:
         # finishing them costs less than a disk round trip.
         leads = [s[-1][0] for s in seeds]
         if reduce(ring.lcm, leads) != sum(leads):
-            path = cache_mod.entry_path(ring, seeds)
-            hit = cache_mod.load_basis(ring, path)
+            key = cache_mod.entry_key(ring, seeds)
+            hit = cache_mod.load_basis(ring, key)
             if hit is not None:
                 return [Poly._of(ring, terms) for terms in hit]
 
@@ -251,8 +251,8 @@ def buchberger(gens, use_cache: bool = True) -> list[Poly]:
 
     reduced = _autoreduce(ring, basis, lms)
     result = [Poly._of(ring, d) for d in reduced]
-    if path is not None:
-        cache_mod.store_basis(ring, path, reduced)
+    if key is not None:
+        cache_mod.store_basis(ring, key, reduced)
     return result
 
 

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
-from bumpless import bpd, cli, perms
+from bumpless import bpd, cache, cli, perms
+from bumpless import groebner as gb
+from bumpless.rings import matrix_ring
 from bumpless.schubert import principal_value, single_schubert_poly, x_ring
 
 DIAG_214365 = [
@@ -407,6 +409,57 @@ def test_unknown_cache_dir_option_is_a_usage_error(capsys, tmp_path):
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
     assert not any(tmp_path.iterdir())
+
+
+def capture(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("store", ["regular file", "garbage database"])
+def test_unusable_basis_store_changes_no_output(capsys, monkeypatch, tmp_path, store):
+    monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(tmp_path / "fresh"))
+    expected = capture(capsys, "ideal", "gb", "21543")
+    assert expected[0] == 0 and expected[2] == ""
+    if store == "regular file":
+        target = tmp_path / "file"
+        target.write_text("not a directory")
+        monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(target))
+    else:
+        target = tmp_path / "garbage" / cache.DATABASE
+        target.parent.mkdir()
+        target.write_bytes(b"not a database " * 512)
+        monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(target.parent))
+    before = target.read_bytes()
+    for _ in range(2):
+        assert capture(capsys, "ideal", "gb", "21543") == expected
+    assert target.read_bytes() == before
+
+
+def test_entries_written_by_forked_workers_are_hits_in_the_parent(
+    capsys, monkeypatch, tmp_path
+):
+    monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    ring = matrix_ring(4, "diag")
+    assert cache.load_basis(ring, "0" * 64) is None  # opens the store here
+    code, _ = run(capsys, "--workers", "2", "verify", "main", "--all-sn", "4")
+    assert code == 0
+    hits = []
+    load = cache.load_basis
+
+    def record(ring, key):
+        hits.append(load(ring, key))
+        return hits[-1]
+
+    def refuse(ring, key, basis):
+        raise AssertionError("a basis the workers stored was recomputed")
+
+    monkeypatch.setattr(cache, "load_basis", record)
+    monkeypatch.setattr(cache, "store_basis", refuse)
+    for w in perms.all_perms(4):
+        gb.buchberger(gb.fulton_generators(w, ring))
+    assert hits and all(hit is not None for hit in hits)
 
 
 def test_workers_environment_is_not_read(capsys, monkeypatch):

@@ -1,12 +1,13 @@
 import json
-import os
+import sqlite3
+from contextlib import closing
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bumpless import asm
+from bumpless import asm, cache
 from bumpless import groebner as gb
 from bumpless import perms
 from bumpless.rings import Poly, lex_ring, matrix_ring, parse_poly
@@ -34,6 +35,20 @@ LEADS_214365_COL = [
 
 def z(ring, i, j):
     return Poly.variable(ring, f"z[{i},{j}]")
+
+
+def run_sql(root, sql, *params):
+    """Run one autocommitted statement on the basis store in ``root``."""
+    with closing(sqlite3.connect(root / cache.DATABASE, isolation_level=None)) as con:
+        return con.execute(sql, params).fetchall()
+
+
+def stored_rows(root):
+    return run_sql(root, "SELECT key, basis FROM bases ORDER BY key")
+
+
+def rewrite_row(root, key, text):
+    run_sql(root, "UPDATE bases SET basis = ? WHERE key = ?", text, key)
 
 
 def test_minor_values_and_validation():
@@ -426,11 +441,10 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     ring = matrix_ring(5, "diag")
     gens = gb.fulton_generators(perms.perm_from_text("21543"), ring)
     first = gb.buchberger(gens, use_cache=True)
-    files = list(tmp_path.glob("gb-*.json"))
-    assert len(files) == 1
+    [(key, _)] = stored_rows(tmp_path)
     second = gb.buchberger(gens, use_cache=True)
     assert [p.terms for p in first] == [p.terms for p in second]
-    files[0].write_text("not json")
+    rewrite_row(tmp_path, key, "not json")
     third = gb.buchberger(gens, use_cache=True)
     assert [p.terms for p in first] == [p.terms for p in third]
 
@@ -444,8 +458,7 @@ def test_cache_entry_that_is_not_a_reduced_basis_is_recomputed(
     gens = gb.fulton_generators((2, 1, 4, 3), ring)
     expected = gb.buchberger(gens, use_cache=False)
     assert gb.buchberger(gens) == expected
-    [path] = tmp_path.glob("gb-*.json")
-    stored = path.read_text()
+    [(key, stored)] = stored_rows(tmp_path)
     entry = json.loads(stored)
     assert [[1, 0, 1]] in entry  # z[1,1] is variable 0 and a basis element
     if defect == "content":
@@ -454,22 +467,25 @@ def test_cache_entry_that_is_not_a_reduced_basis_is_recomputed(
         entry[-1] = [[-row[0], *row[1:]] for row in entry[-1]]
     else:
         entry.append([[1, 0, 2]])  # z[1,1]^2, a multiple of the lead z[1,1]
-    path.write_text(json.dumps(entry))
+    rewrite_row(tmp_path, key, json.dumps(entry))
     assert gb.buchberger(gens) == expected
-    assert path.read_text() == stored
+    assert stored_rows(tmp_path) == [(key, stored)]
 
 
-def test_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+def test_failed_cache_write_leaves_the_store_as_it_was(tmp_path, monkeypatch):
     monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(tmp_path))
-
-    def refuse(src, dst):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(os, "replace", refuse)
     ring = matrix_ring(4, "diag")
+    gb.buchberger(gb.fulton_generators((1, 3, 4, 2), ring))
+    before = stored_rows(tmp_path)
+    assert len(before) == 1
+    run_sql(
+        tmp_path,
+        "CREATE TRIGGER refuse BEFORE INSERT ON bases"
+        " BEGIN SELECT RAISE(ABORT, 'disk full'); END",
+    )
     gens = gb.fulton_generators((2, 1, 4, 3), ring)
     assert gb.buchberger(gens) == gb.buchberger(gens, use_cache=False)
-    assert list(tmp_path.iterdir()) == []
+    assert stored_rows(tmp_path) == before
 
 
 @pytest.mark.parametrize(
@@ -489,7 +505,7 @@ def test_coprime_leads_skip_the_cache(word, order, tmp_path, monkeypatch):
     else:
         gens = gb.fulton_generators(perms.perm_from_text(word), ring)
     assert gb.buchberger(gens) == gb.buchberger(gens, use_cache=False)
-    assert list(tmp_path.glob("gb-*.json")) == []
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("order", ["diag", "antidiag", "col-lex"])
@@ -499,8 +515,44 @@ def test_cached_bases_match_computed_ones_on_s5(order, tmp_path, monkeypatch):
     cases = [gb.fulton_generators(w, ring) for w in perms.all_perms(5)]
     expected = [gb.buchberger(gens, use_cache=False) for gens in cases]
     assert [gb.buchberger(gens) for gens in cases] == expected  # cold
-    assert list(tmp_path.glob("gb-*.json"))
+    assert stored_rows(tmp_path)
     assert [gb.buchberger(gens) for gens in cases] == expected  # warm
+
+
+def test_garbage_store_is_a_miss_on_every_lookup(tmp_path, monkeypatch):
+    monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(tmp_path))
+    garbage = b"not a database " * 512
+    (tmp_path / cache.DATABASE).write_bytes(garbage)
+    hits = []
+    load = gb.cache_mod.load_basis
+
+    def record(ring, key):
+        hits.append(load(ring, key))
+        return hits[-1]
+
+    monkeypatch.setattr(gb.cache_mod, "load_basis", record)
+    ring = matrix_ring(4, "diag")
+    cases = [gb.fulton_generators(w, ring) for w in perms.all_perms(4)]
+    expected = [gb.buchberger(gens, use_cache=False) for gens in cases]
+    for _ in range(2):  # the first pass would have stored every basis
+        assert [gb.buchberger(gens) for gens in cases] == expected
+    assert hits and all(hit is None for hit in hits)
+    assert (tmp_path / cache.DATABASE).read_bytes() == garbage
+
+
+def test_each_process_and_directory_gets_its_own_connection(tmp_path, monkeypatch):
+    monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(tmp_path / "a"))
+    first = cache._connection()
+    assert cache._connection() is first
+    monkeypatch.setenv("BUMPLESS_CACHE_DIR", str(tmp_path / "b"))
+    second = cache._connection()
+    assert second is not first
+    with pytest.raises(sqlite3.ProgrammingError):  # closed with its directory
+        first.execute("SELECT 1")
+    monkeypatch.setattr(cache.os, "getpid", lambda: -1)  # as in a forked child
+    third = cache._connection()
+    assert third is not second
+    assert second.execute("SELECT 1").fetchall() == [(1,)]  # the parent's, untouched
 
 
 mono2 = st.lists(st.integers(min_value=0, max_value=2), min_size=4, max_size=4)
@@ -547,6 +599,8 @@ def test_asm_ideal_is_intersection_of_its_permutations():
         [[[0, 0, 1]]],
         [[[1.5, 0, 1]]],
         [[[True, 0, 1]]],
+        # json raises RecursionError, not ValueError, on this text
+        pytest.param("[" * 200_000, id="deeply nested"),
     ],
 )
 def test_undecodable_cache_entry_is_recomputed(entry, tmp_path, monkeypatch):
@@ -555,9 +609,8 @@ def test_undecodable_cache_entry_is_recomputed(entry, tmp_path, monkeypatch):
     gens = gb.fulton_generators((2, 1, 4, 3), ring)
     expected = gb.buchberger(gens, use_cache=False)
     assert gb.buchberger(gens) == expected
-    [path] = tmp_path.glob("gb-*.json")
-    stored = path.read_text()
-    path.write_text(json.dumps(entry))
+    [(key, stored)] = stored_rows(tmp_path)
+    rewrite_row(tmp_path, key, entry if isinstance(entry, str) else json.dumps(entry))
     assert gb.buchberger(gens) == expected
-    assert path.read_text() == stored
+    assert stored_rows(tmp_path) == [(key, stored)]
     assert gb.buchberger(gens) == expected
