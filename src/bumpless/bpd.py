@@ -65,9 +65,10 @@ _TOP, _RIGHT, _BOTTOM, _LEFT = (
 _NOT_GLYPHS = str.maketrans("", "", GLYPHS)
 
 
-def validate_bpd(grid) -> Bpd:
+def validate_bpd(grid, w: Perm | None = None) -> Bpd:
     """Full validation: glyphs, edge matching, boundary, pipe tracing,
-    and the at-most-one-crossing rule for every pair of pipes."""
+    and the at-most-one-crossing rule for every pair of pipes; when w is
+    given, also that the pipes spell w."""
     rows = tuple("".join(r) if not isinstance(r, str) else r for r in grid)
     n = len(rows)
     if set(map(len, rows)) != {n}:
@@ -85,7 +86,11 @@ def validate_bpd(grid) -> Bpd:
         or bounded.translate(_RIGHT)[:-1] != bounded.translate(_LEFT)[1:]
     ):
         raise InvalidBpd(_edge_fault(rows))
-    _trace(rows)
+    word = _trace(rows)
+    if w is not None and word != w:
+        raise InvalidBpd(
+            f"tiling spells {perms.perm_to_text(word)}, not {perms.perm_to_text(w)}"
+        )
     return rows
 
 
@@ -200,7 +205,7 @@ def rothe_bpd(w: Perm) -> Bpd:
             else:
                 row.append(".")
         rows.append("".join(row))
-    return validate_bpd(rows)
+    return validate_bpd(rows, w)
 
 
 # Elbows become "E" and blanks stay ".", so a droop scan finds both with
@@ -283,7 +288,8 @@ def apply_droop(B: Bpd, move: DroopMove) -> Bpd:
 
 def enumerate_bpds(w: Perm) -> frozenset[Bpd]:
     """Closure of the Rothe element under droop moves; each tiling is
-    fully validated once, when it is first reached."""
+    fully validated once, when it is first reached, and must spell w."""
+    w = tuple(w)  # a tuple, to compare with each tiling's word; rothe_bpd validates it
     start = rothe_bpd(w)
     seen = {start}
     frontier = [start]
@@ -292,7 +298,7 @@ def enumerate_bpds(w: Perm) -> frozenset[Bpd]:
         for move in _droops(B):
             nxt = _droop(B, *move)
             if nxt not in seen:
-                seen.add(validate_bpd(nxt))
+                seen.add(validate_bpd(nxt, w))
                 frontier.append(nxt)
     return frozenset(seen)
 

@@ -289,14 +289,15 @@ class MonomialIdeal:
         is replaced by 1 - v."""
         K = self.k_polynomial(target, images)
         flip = {nm: 1 - Poly.variable(target, nm) for nm in target.names}
-        KK = K.map_variables(target, flip)
-        if KK.is_zero:
-            return KK
-        low = min(target.degree(m) for m in KK.terms)
-        return Poly(
-            target,
-            {m: c for m, c in KK.terms.items() if target.degree(m) == low},
-        )
+        degree = target.degree
+        low, part = None, {}
+        for m, c in K.map_variables(target, flip).terms.items():
+            d = degree(m)
+            if low is None or d < low:
+                low, part = d, {m: c}
+            elif d == low:
+                part[m] = c
+        return Poly._of(target, part)
 
 
 def prime_names(ring: Ring, prime) -> tuple[str, ...]:

@@ -322,7 +322,14 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        acc = dict(self.terms)
+        for m, c in other.terms.items():
+            nc = acc.get(m, 0) - c
+            if nc:
+                acc[m] = nc
+            else:
+                del acc[m]
+        return Poly._of(self.ring, acc)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -338,6 +345,11 @@ class Poly:
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
+        if len(b) == 1:
+            # A monomial shifts every key by the same amount: no two
+            # products collide and none is zero.
+            ((mb, cb),) = b.items()
+            return Poly._of(self.ring, {ma + mb: ca * cb for ma, ca in a.items()})
         acc = {}
         for mb, cb in b.items():
             for ma, ca in a.items():
@@ -508,8 +520,10 @@ def exact_divide(f, g):
     if f.is_zero:
         return f
     ring = f.ring
+    guard = ring._guard
     glm = g.leading_monomial()
     glc = g.terms[glm]
+    monic = isinstance(glc, int) and glc == 1
     tail = [(gm, gc) for gm, gc in g.terms.items() if gm != glm]
     rem = dict(f.terms)
     heap = [-m for m in rem]
@@ -520,9 +534,12 @@ def exact_divide(f, g):
         c = rem.pop(m, None)
         if c is None:
             continue
-        if not ring.divides(glm, m):
+        # ``Ring.divides(glm, m)``, inline.
+        if ((m | guard) - glm) & guard != guard:
             raise ValueError("division is not exact")
-        if isinstance(c, int) and isinstance(glc, int) and c % glc == 0:
+        if monic:
+            qc = c
+        elif isinstance(c, int) and isinstance(glc, int) and c % glc == 0:
             qc = c // glc
         else:
             qc = Fraction(c, glc) if isinstance(c, int) else c / glc

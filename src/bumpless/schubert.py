@@ -56,35 +56,46 @@ def yvar(ring: Ring, j: int) -> Poly:
     return Poly.variable(ring, f"y{j}")
 
 
-def swap_adjacent_x(f: Poly, i: int) -> Poly:
-    """Exchange x_i and x_{i+1} in every monomial."""
-    ring = f.ring
-    a = ring.index(f"x{i}")
-    b = ring.index(f"x{i + 1}")
-    sa = ring._decode_shifts[a]
-    sb = ring._decode_shifts[b]
-    step = ring._units[b] - ring._units[a]
-    out = {}
-    for m, c in f.terms.items():
-        ea = (m >> sa) & (SLOT_CAP - 1)
-        eb = (m >> sb) & (SLOT_CAP - 1)
-        out[m + (ea - eb) * step] = c
-    return Poly._of(ring, out)
-
-
 def divided_difference(f: Poly, i: int) -> Poly:
-    """(f - swap(f)) / (x_i - x_{i+1})."""
-    num = f - swap_adjacent_x(f, i)
-    if num.is_zero:
-        return num
-    return exact_divide(num, xvar(f.ring, i) - xvar(f.ring, i + 1))
+    """(f - s_i f) / (x_i - x_{i+1}), where s_i exchanges x_i and x_{i+1}.
+
+    The numerator is built in one pass over f.  A term m with exponents
+    a and b in x_i and x_{i+1} pairs with s_i m, its image with the two
+    exchanged: where a > b the pair gets c_m - c_{s_i m} at m and its
+    negative at s_i m; where a < b it is left to s_i m unless that
+    monomial is missing from f; where a == b the term cancels itself."""
+    ring = f.ring
+    u = ring.index(f"x{i}")
+    v = ring.index(f"x{i + 1}")
+    su = ring._decode_shifts[u]
+    sv = ring._decode_shifts[v]
+    step = ring._units[v] - ring._units[u]
+    terms = f.terms
+    num = {}
+    for m, c in terms.items():
+        a = m >> su & (SLOT_CAP - 1)
+        b = m >> sv & (SLOT_CAP - 1)
+        if a > b:
+            key = m + (a - b) * step
+            d = c - terms.get(key, 0)
+            if d:
+                num[m] = d
+                num[key] = -d
+        elif a < b:
+            key = m + (a - b) * step
+            if key not in terms:
+                num[m] = c
+                num[key] = -c
+    if not num:
+        return Poly.zero(ring)
+    return exact_divide(Poly._of(ring, num), xvar(ring, i) - xvar(ring, i + 1))
 
 
 def isobaric_divided_difference(f: Poly, i: int) -> Poly:
     """The beta-deformed operator, the divided difference of
     (1 + beta*x_{i+1})*f; the ring must carry the beta variable."""
-    lifted = (1 + Poly.variable(f.ring, BETA) * xvar(f.ring, i + 1)) * f
-    return divided_difference(lifted, i)
+    lift = Poly.variable(f.ring, BETA) * xvar(f.ring, i + 1)
+    return divided_difference(f + lift * f, i)
 
 
 def _product(ring: Ring, cells, factor) -> Poly:

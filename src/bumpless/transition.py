@@ -144,16 +144,20 @@ def _case_name(ws, corner: Cell | None = None) -> str:
 
 
 def _corner_recurrence(td: TransitionData, statement: str, F, c1, c2, ratio) -> dict:
-    """The corner check of the module docstring, with r = ratio; a subset
-    whose weight is zero is never evaluated."""
+    """The corner check of the module docstring, with r = ratio.  The
+    subsets of phi are taken by size k: the F(target(U)) of one size are
+    summed first, and the sum is multiplied by its weight r**(k-1) once.
+    A size whose weight is zero is never evaluated."""
     lhs = F(td.w)
     tail = Poly.zero(lhs.ring)
     for k in range(1, len(td.phi) + 1):
         weight = ratio ** (k - 1)
         if not weight:
             continue
+        group = Poly.zero(lhs.ring)
         for U in combinations(td.phi, k):
-            tail = tail + weight * F(transition_target(td, U))
+            group = group + F(transition_target(td, U))
+        tail = tail + weight * group
     diff = lhs - (c1 * F(td.v) + c2 * tail)
     witness = {} if diff.is_zero else {"difference": diff.to_text()}
     return _report(_case_name([td.w], td.corner), statement, diff.is_zero, witness)

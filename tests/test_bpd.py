@@ -116,6 +116,15 @@ def test_enumerate_counts_tiny():
     assert len(B.enumerate_bpds(P.identity(4))) == 1
 
 
+def test_enumeration_rejects_a_tiling_of_another_permutation(monkeypatch):
+    # A droop that left a valid tiling of 1324 behind must not be counted
+    # among the tilings of 1432.
+    other = B.rothe_bpd((1, 3, 2, 4))
+    monkeypatch.setattr(B, "_droop", lambda *move: other)
+    with pytest.raises(B.InvalidBpd, match="tiling spells 1324, not 1432"):
+        B.enumerate_bpds((1, 4, 3, 2))
+
+
 def test_bpds_of_132_have_expected_diagrams():
     got = {B.diagram(x) for x in B.enumerate_bpds((1, 3, 2))}
     assert got == {frozenset({(1, 1)}), frozenset({(2, 2)})}

@@ -248,6 +248,10 @@ def test_ring_axioms(f, g, h):
     assert f + 0 == f
     assert f * 1 == f
     assert f - f == Poly.zero(R_DIAG)
+    assert (f - g) + g == f
+    assert f - g == f + (-1) * g
+    assert all((f - g).terms.values())
+    assert all((f * g).terms.values())
 
 
 @settings(max_examples=40)
@@ -292,6 +296,9 @@ def test_exact_divide_with_fraction_coefficients():
     q = exact_divide(4 * x * x - 4 * y * y, 2 * x + 2 * y)
     assert q == 2 * x - 2 * y
     assert all(type(c) is int for c in q.terms.values())
+    # A monic divisor takes each quotient coefficient as it stands.
+    g = x * y - third * y + half
+    assert exact_divide(g * h, g) == h
 
 
 def test_exact_divide_in_a_corner_refined_ring():

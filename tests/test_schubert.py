@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from bumpless import bpd, schubert
 from bumpless.groebner import buchberger, fulton_generators, initial_ideal
 from bumpless.monomial import MonomialIdeal, grading_images
-from bumpless.rings import Poly, matrix_ring, parse_poly
+from bumpless.perms import apply_transposition
+from bumpless.rings import Poly, exact_divide, matrix_ring, parse_poly
 from bumpless.schubert import (
     bpd_schubert_poly,
     bpd_single_schubert_poly,
@@ -22,7 +23,6 @@ from bumpless.schubert import (
     schubert_poly,
     set_beta,
     single_schubert_poly,
-    swap_adjacent_x,
     x_ring,
     xvar,
     yvar,
@@ -186,10 +186,63 @@ def test_operator_identities():
     assert divided_difference(xvar(G4, 2), 1).to_text() == "-1"
 
 
-def test_swap_is_an_involution():
-    f = schubert_poly((2, 4, 1, 3), D4) + xvar(D4, 1) * yvar(D4, 3)
-    assert swap_adjacent_x(swap_adjacent_x(f, 2), 2) == f
-    assert swap_adjacent_x(xvar(D4, 1), 1) == xvar(D4, 2)
+def _step_by_swap(f, i, isobaric):
+    """Reference operator: for the isobaric one, f times 1 + beta*x_{i+1};
+    then f less a copy with the exponents of x_i and x_{i+1} exchanged in
+    every term, divided by x_i - x_{i+1}."""
+    ring = f.ring
+    if isobaric:
+        f = (1 + Poly.variable(ring, "beta") * xvar(ring, i + 1)) * f
+    u, v = ring.index(f"x{i}"), ring.index(f"x{i + 1}")
+    step = ring.variable(f"x{i + 1}") - ring.variable(f"x{i}")
+    swapped = {}
+    for m, c in f.terms.items():
+        e = ring.decode(m)
+        swapped[m + (e[u] - e[v]) * step] = c
+    num = f - Poly(ring, swapped)
+    if num.is_zero:
+        return num
+    return exact_divide(num, xvar(ring, i) - xvar(ring, i + 1))
+
+
+@pytest.mark.parametrize(
+    "n, f, make_ring, step",
+    [
+        (5, schubert_poly, double_ring, divided_difference),
+        (5, grothendieck_poly, grothendieck_ring, isobaric_divided_difference),
+        (6, single_schubert_poly, x_ring, divided_difference),
+    ],
+)
+def test_one_pass_operators_match_the_swap_reference(n, f, make_ring, step):
+    # Every step of every descent walk in the group: the polynomial of w
+    # is the operator at w's first ascent i applied to that of w*s_i.
+    ring = make_ring(n)
+    isobaric = step is isobaric_divided_difference
+    for w in permutations(range(1, n + 1)):
+        i = next((i for i in range(1, n) if w[i - 1] < w[i]), None)
+        if i is None:
+            continue
+        above = f(apply_transposition(w, i, i + 1), ring)
+        got = step(above, i)
+        assert got == _step_by_swap(above, i, isobaric) == f(w, ring), (w, i)
+        assert all(got.terms.values())
+
+
+g4_polys = st.lists(
+    st.tuples(st.lists(st.integers(0, 3), min_size=9, max_size=9), st.integers(-3, 3)),
+    max_size=6,
+).map(lambda pairs: Poly(G4, [(G4.encode(e), c) for e, c in pairs]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g4_polys, st.integers(1, 3))
+def test_operators_match_the_swap_reference_on_any_polynomial(f, i):
+    # Unlike the polynomials a walk meets, these have terms whose image
+    # under s_i is missing.
+    for step in (divided_difference, isobaric_divided_difference):
+        got = step(f, i)
+        assert got == _step_by_swap(f, i, step is isobaric_divided_difference)
+        assert all(got.terms.values())
 
 
 @settings(max_examples=30, deadline=None)
