@@ -69,6 +69,16 @@ def validate_bpd(grid, w: Perm | None = None) -> Bpd:
     """Full validation: glyphs, edge matching, boundary, pipe tracing,
     and the at-most-one-crossing rule for every pair of pipes; when w is
     given, also that the pipes spell w."""
+    rows, word = _validated(grid)
+    if w is not None and word != w:
+        raise InvalidBpd(
+            f"tiling spells {perms.perm_to_text(word)}, not {perms.perm_to_text(w)}"
+        )
+    return rows
+
+
+def _validated(grid) -> tuple[Bpd, Perm]:
+    """The rows of a valid grid and the permutation its pipes spell."""
     rows = tuple("".join(r) if not isinstance(r, str) else r for r in grid)
     n = len(rows)
     if set(map(len, rows)) != {n}:
@@ -86,12 +96,7 @@ def validate_bpd(grid, w: Perm | None = None) -> Bpd:
         or bounded.translate(_RIGHT)[:-1] != bounded.translate(_LEFT)[1:]
     ):
         raise InvalidBpd(_edge_fault(rows))
-    word = _trace(rows)
-    if w is not None and word != w:
-        raise InvalidBpd(
-            f"tiling spells {perms.perm_to_text(word)}, not {perms.perm_to_text(w)}"
-        )
-    return rows
+    return rows, _trace(rows)
 
 
 def _edge_fault(rows: Bpd) -> str:
@@ -171,7 +176,7 @@ def _repeated_crossing(rows: Bpd) -> tuple[int, int]:
 
 def permutation_of(B: Bpd) -> Perm:
     """The permutation sending each exit row to the label of its pipe."""
-    return _trace(validate_bpd(B))
+    return _validated(B)[1]
 
 
 def diagram(B: Bpd) -> frozenset[Cell]:

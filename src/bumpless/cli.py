@@ -22,9 +22,9 @@ from . import asm as asm_mod
 from . import bpd as bpd_mod
 from . import perms
 from . import transition as tr
-from .groebner import asm_generators, buchberger, fulton_generators, initial_ideal
+from .groebner import asm_generators, buchberger, initial_ideal
 from .monomial import MonomialIdeal, grading_images, prime_names
-from .rings import lex_ring, matrix_ring, parse_poly
+from .rings import lex_ring, matrix_ring, parse_cell, parse_poly
 from .schubert import (
     double_ring,
     grothendieck_poly,
@@ -38,35 +38,20 @@ from .schubert import (
 SCHEMA = "bumpless-report/1"
 
 
-def _perm(text: str):
-    return perms.perm_from_text(text)
-
-
-def _asm(text: str):
-    return asm_mod.asm_from_text(text.replace(";", "\n"))
-
-
 def _perm_or_asm(text: str):
     """Permutations are digit words; ASM rows carry separators or signs."""
     try:
-        return asm_mod.from_permutation(_perm(text))
+        return asm_mod.from_permutation(perms.perm_from_text(text))
     except ValueError:
-        return _asm(text)
+        return asm_mod.asm_from_text(text.replace(";", "\n"))
 
 
-def _cell(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"\s*(\d+)\s*,\s*(\d+)\s*", text)
-    if not m:
-        raise ValueError(f"expected a cell like 3,2 — got {text!r}")
-    return int(m.group(1)), int(m.group(2))
-
-
-def _monomial_ideal(text: str, order: str):
+def _monomial_ideal(text: str):
     cells = re.findall(r"z\[(\d+),(\d+)\]", text)
     if not cells:
         raise ValueError("no z[i,j] variables found in the ideal text")
     n = max(int(v) for pair in cells for v in pair)
-    ring = matrix_ring(n, order)
+    ring = matrix_ring(n, "antidiag")
     pieces = re.split(r",(?![^\[]*\])", text)
     return MonomialIdeal.from_polys(
         [parse_poly(ring, p) for p in pieces if p.strip()]
@@ -82,7 +67,7 @@ def _emit(args, lines, payload) -> None:
 
 
 def cmd_bpd(args) -> int:
-    w = _perm(args.word)
+    w = perms.perm_from_text(args.word)
     grids = sorted(bpd_mod.enumerate_bpds(w))
     if args.action == "count":
         _emit(args, [str(len(grids))], {"count": len(grids)})
@@ -95,7 +80,7 @@ def cmd_bpd(args) -> int:
 def cmd_poly(args) -> int:
     if args.beta is not None and args.kind != "groth":
         raise ValueError(f"poly {args.kind} takes no --beta")
-    w = _perm(args.word)
+    w = perms.perm_from_text(args.word)
     n = len(w)
     if args.kind == "schubert":
         f = single_schubert_poly(w, x_ring(n))
@@ -110,14 +95,9 @@ def cmd_poly(args) -> int:
 
 
 def cmd_ideal(args) -> int:
-    if args.kind == "fulton":
-        w = _perm(args.input)
-        ring = matrix_ring(len(w), args.order)
-        gens = fulton_generators(w, ring)
-    else:
-        A = _perm_or_asm(args.input)
-        ring = matrix_ring(len(A), args.order)
-        gens = asm_generators(A, ring)
+    A = _perm_or_asm(args.input)
+    ring = matrix_ring(len(A), args.order)
+    gens = asm_generators(A, ring)
     if args.kind == "gb":
         gens = buchberger(gens)
     elif args.kind == "init":
@@ -133,7 +113,7 @@ def cmd_ideal(args) -> int:
 def cmd_mono(args) -> int:
     if args.grading is not None and args.action in ("decompose", "ass"):
         raise ValueError(f"mono {args.action} takes no --grading")
-    J = _monomial_ideal(args.ideal, args.order)
+    J = _monomial_ideal(args.ideal)
     ring = J.ring
     if args.action == "decompose":
         comps = [
@@ -203,14 +183,14 @@ def _verify_cases(args) -> list[tuple]:
         if getattr(args, flag) is not None and kind not in takers:
             raise ValueError(f"verify {kind} takes no --{flag}")
     order = args.order or "diag"
-    corner = _cell(args.corner) if args.corner else None
+    corner = parse_cell(args.corner) if args.corner else None
     if args.all_sn is not None:
         if args.inputs:
             raise ValueError("give case inputs or --all-sn N, not both")
         sweep = asm_mod.all_asms if kind == "asm" else perms.all_perms
         families = [[x] for x in sweep(args.all_sn)]
     elif args.inputs:
-        parse = _perm_or_asm if kind == "asm" else _perm
+        parse = _perm_or_asm if kind == "asm" else perms.perm_from_text
         families = [[parse(t) for t in args.inputs]]
     else:
         raise ValueError("give case inputs or --all-sn N")
@@ -298,14 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=int, default=None, help="substitute beta (groth only)")
 
     p = sub.add_parser("ideal", help="determinantal generators and bases")
-    p.add_argument("kind", choices=("fulton", "asm", "gb", "init"))
+    p.add_argument("kind", choices=("asm", "gb", "init"))
     p.add_argument("input", help="permutation word, or ASM rows split by ;")
-    p.add_argument("--order", default="antidiag", help="diag | antidiag | col-lex | tau:a,b | yref:a,b:BASE")
+    p.add_argument("--order", default="antidiag", help="diag | antidiag | col-lex | yref:a,b:BASE")
 
     p = sub.add_parser("mono", help="monomial-ideal decompositions and gradings")
     p.add_argument("action", choices=("decompose", "ass", "kpoly", "multidegree"))
     p.add_argument("ideal", help="comma-separated monomials in z[i,j]")
-    p.add_argument("--order", default="antidiag")
     p.add_argument(
         "--grading",
         choices=("standard", "rows", "rows-columns"),

@@ -107,18 +107,6 @@ class MonomialIdeal:
             v for v, e in enumerate(self.ring.decode(m)) if e
         )
 
-    def is_radical(self) -> bool:
-        return all(
-            all(e <= 1 for e in self.ring.decode(g)) for g in self.gens
-        )
-
-    def radical(self) -> "MonomialIdeal":
-        enc = self.ring.encode
-        dec = self.ring.decode
-        return MonomialIdeal(
-            self.ring, (enc([1 if e else 0 for e in dec(g)]) for g in self.gens)
-        )
-
     def restricted(self, prime) -> "MonomialIdeal":
         """Localize away from a prime: zero out exponents outside it."""
         S = frozenset(prime)

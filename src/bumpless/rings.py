@@ -179,8 +179,8 @@ def refined_by_cell(n, cell, base_layout):
     The cell's slot comes first and the base's other slots follow in
     their order.  Once the cell's exponents tie, the base order compares
     the rest, so this is the base order refined by the cell's degree;
-    the corner-first order ``tau:a,b`` is this over the antidiagonal
-    base."""
+    over the antidiagonal base it is the corner-first order of the link
+    decomposition."""
     v = _cell_slot(n, *cell)
     return (v,) + tuple(k for k in base_layout if k != v)
 
@@ -193,28 +193,27 @@ _BASE_LAYOUTS = {
 
 
 def layout_from_spec(n, spec):
-    """Parse an order name: diag, antidiag, col-lex, tau:a,b, or
-    yref:a,b:BASE with BASE one of the first three."""
+    """Parse an order name: diag, antidiag, col-lex, or yref:a,b:BASE
+    with BASE one of the first three."""
     if spec in _BASE_LAYOUTS:
         return _BASE_LAYOUTS[spec](n)
-    if spec.startswith("tau:"):
-        return refined_by_cell(n, _parse_cell(spec[4:]), antidiagonal_layout(n))
     if spec.startswith("yref:"):
         cell_part, sep, base = spec[5:].partition(":")
         if not sep:
             raise ValueError(f"order {spec!r} is missing its base order")
-        cell = _parse_cell(cell_part)
+        cell = parse_cell(cell_part)
         if base not in _BASE_LAYOUTS:
             raise ValueError(f"a yref base must be diag, antidiag or col-lex, not {base!r}")
         return refined_by_cell(n, cell, _BASE_LAYOUTS[base](n))
     raise ValueError(f"unknown order {spec!r}")
 
 
-def _parse_cell(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected a cell a,b; got {text!r}")
-    return int(parts[0]), int(parts[1])
+def parse_cell(text):
+    """A cell written as its row and column split by a comma, such as 3,2."""
+    m = re.fullmatch(r"\s*(\d+)\s*,\s*(\d+)\s*", text)
+    if not m:
+        raise ValueError(f"expected a cell like 3,2 — got {text!r}")
+    return int(m.group(1)), int(m.group(2))
 
 
 def matrix_ring(n, spec="antidiag"):

@@ -219,7 +219,7 @@ def verify_link_decomposition(w, corner: Cell) -> dict:
     td = transition_data(w, corner)
     a, b = corner
     n = len(w)
-    R = matrix_ring(n, f"tau:{a},{b}")
+    R = matrix_ring(n, f"yref:{a},{b}:antidiag")
     C, N = cell_split(buchberger(fulton_generators(w, R)), corner)
     C = buchberger(C)
     failures = {}
@@ -262,7 +262,7 @@ def verify_tau_formula(w, corner: Cell) -> dict:
     td = transition_data(w, corner)
     a, b = corner
     n = len(w)
-    R_tau = matrix_ring(n, f"tau:{a},{b}")
+    R_tau = matrix_ring(n, f"yref:{a},{b}:antidiag")
     R_anti = matrix_ring(n, "antidiag")
     lhs = MonomialIdeal(R_tau, initial_ideal(fulton_generators(w, R_tau)))
 
@@ -337,10 +337,9 @@ def verify_theorem_B(w) -> dict:
     if not is_groebner(gens):
         failures["defining-minors-not-a-basis"] = True
     J = MonomialIdeal(R, leading_monomials(gens))
-    if not J.is_radical():
-        failures["not-radical"] = _texts(
-            Poly(R, {m: 1}) for m in J.gens if not J.radical().contains(m)
-        )
+    squares = [m for m in J.gens if max(R.decode(m)) > 1]
+    if squares:
+        failures["not-radical"] = [R.monomial_text(m) for m in squares]
     mins = J.minimal_primes()
     if not J.is_zero:
         back = reduce(
@@ -394,7 +393,7 @@ def verify_intersectNs(ws, corner: Cell) -> dict:
         raise ValueError(f"{corner} is not maximally southeast for this family")
     n = len(ws[0])
     a, b = corner
-    R = matrix_ring(n, f"tau:{a},{b}")
+    R = matrix_ring(n, f"yref:{a},{b}:antidiag")
     _, whole = cell_split(
         intersect_many([fulton_generators(w, R) for w in ws]), corner
     )

@@ -145,7 +145,7 @@ def test_c08_cofactor_split_all_s5_corners_and_frozen_minors():
         for corner in perms.lower_outside_corners(w):
             ok(tr.verify_link_decomposition(w, corner))
 
-    ring = matrix_ring(6, "tau:5,5")
+    ring = matrix_ring(6, "yref:5,5:antidiag")
     basis = gb.buchberger(gb.fulton_generators((2, 1, 4, 3, 6, 5), ring))
     C, N = gb.cell_split(basis, (5, 5))
     d3 = gb.minor(ring, (1, 2, 3), (1, 2, 3))

@@ -125,6 +125,22 @@ def test_enumeration_rejects_a_tiling_of_another_permutation(monkeypatch):
         B.enumerate_bpds((1, 4, 3, 2))
 
 
+def test_permutation_of_traces_each_grid_once(monkeypatch):
+    grids = B.enumerate_bpds((2, 1, 4, 3))
+    trace = B._trace
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return trace(rows)
+
+    monkeypatch.setattr(B, "_trace", counting)
+    for x in grids:
+        calls.clear()
+        assert B.permutation_of(x) == (2, 1, 4, 3)
+        assert calls == [x]
+
+
 def test_bpds_of_132_have_expected_diagrams():
     got = {B.diagram(x) for x in B.enumerate_bpds((1, 3, 2))}
     assert got == {frozenset({(1, 1)}), frozenset({(2, 2)})}

@@ -480,15 +480,13 @@ def test_workers_environment_is_not_read(capsys, monkeypatch):
     [
         (["ideal", "init", "21", "--order", "yref:1,1:" * 3000 + "diag"],
          "a yref base must be diag, antidiag or col-lex, not 'yref:1,1:"),
-        (["mono", "kpoly", "z[1,1]", "--order", "yref:1,1:" * 3000 + "diag"],
-         "a yref base must be diag, antidiag or col-lex, not 'yref:1,1:"),
-        (["verify", "ycompat", "2143", "--corner", "3,3", "--order", "tau:2,2"],
-         "a yref base must be diag, antidiag or col-lex, not 'tau:2,2'"),
+        (["verify", "ycompat", "2143", "--corner", "3,3", "--order", "yref:2,2:diag"],
+         "a yref base must be diag, antidiag or col-lex, not 'yref:2,2:diag'"),
         (["verify", "transition", "2143", "--corner", "3x3"],
          "expected a cell like 3,2 — got '3x3'"),
         (["lattice", "perm", "0 1/1 0"], "ASM text must contain integer entries"),
     ],
-    ids=["deep-yref-ideal", "deep-yref-mono", "tau-base", "cell-x", "asm-slash"],
+    ids=["deep-yref-ideal", "tau-base", "cell-x", "asm-slash"],
 )
 def test_input_outside_the_grammar_is_a_usage_error(capsys, argv, message):
     assert cli.main(["--workers", "1", *argv]) == 2
@@ -496,6 +494,37 @@ def test_input_outside_the_grammar_is_a_usage_error(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ideal", "fulton", "21"], "argument kind: invalid choice: 'fulton'"),
+        (["ideal", "init", "21", "--order", "tau:2,2"], "error: unknown order 'tau:2,2'\n"),
+        (["mono", "kpoly", "z[1,1]", "--order", "diag"],
+         "error: unrecognized arguments: --order diag\n"),
+    ],
+    ids=["ideal-fulton", "tau-order", "mono-order"],
+)
+def test_removed_spellings_are_usage_errors(capsys, argv, message):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects an unknown choice or flag
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("order", ["diag", "antidiag", "col-lex"])
+def test_ideal_asm_of_a_word_prints_its_fulton_generators(capsys, order):
+    for n in (4, 5):
+        ring = matrix_ring(n, order)
+        for w in perms.all_perms(n):
+            code, out = run(capsys, "ideal", "asm", perms.perm_to_text(w), "--order", order)
+            assert code == 0
+            assert out.splitlines() == [g.to_text() for g in gb.fulton_generators(w, ring)]
 
 
 def help_text(capsys, *argv):

@@ -377,7 +377,7 @@ ELIMINATION_INNERS = (
     matrix_ring(3, "diag"),
     matrix_ring(3, "antidiag"),
     matrix_ring(3, "col-lex"),
-    matrix_ring(3, "tau:2,3"),
+    matrix_ring(3, "yref:2,3:antidiag"),
     matrix_ring(3, "yref:2,2:diag"),
     matrix_ring(3, "yref:3,1:col-lex"),
     lex_ring(("x", "y", "u", "v")),
@@ -403,14 +403,14 @@ def test_free_half_of_a_corner_split_is_already_reduced(n):
     is the reduced basis of the elimination ideal."""
     for w in perms.all_perms(n):
         for a, b in sorted(perms.lower_outside_corners(w)):
-            ring = matrix_ring(n, f"tau:{a},{b}")
+            ring = matrix_ring(n, f"yref:{a},{b}:antidiag")
             basis = gb.buchberger(gb.fulton_generators(w, ring))
             _, N = gb.cell_split(basis, (a, b))
             assert gb.buchberger(N) == N, (w, (a, b))
 
 
 def test_cell_split_example():
-    ring = matrix_ring(6, "tau:5,5")
+    ring = matrix_ring(6, "yref:5,5:antidiag")
     w = perms.perm_from_text("214365")
     basis = gb.buchberger(gb.fulton_generators(w, ring), use_cache=False)
     assert max(gb.cell_degrees(basis, (5, 5))) == 1
@@ -430,7 +430,7 @@ def test_cell_split_rejects_quadratic():
 
 
 def test_cell_split_unit_cofactor():
-    ring = matrix_ring(2, "tau:1,1")
+    ring = matrix_ring(2, "yref:1,1:antidiag")
     C, N = gb.cell_split([z(ring, 1, 1)], (1, 1))
     assert C == [Poly.constant(ring, 1)]
     assert N == []

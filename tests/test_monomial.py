@@ -89,14 +89,6 @@ def test_intersection_is_membershipwise():
         assert K.contains(m) == (I.contains(m) and J.contains(m))
 
 
-def test_radical():
-    J = ideal(AB, "a^2*b", "b^3")
-    assert not J.is_radical()
-    assert J.radical() == ideal(AB, "a*b", "b")
-    assert J.radical() == ideal(AB, "b")
-    assert ideal(AB, "a*b").is_radical()
-
-
 def test_restricted_drops_outside_exponents():
     J = ideal(AB, "a^2*b", "b^3")
     S = prime_from_names(AB, ("a",))

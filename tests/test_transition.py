@@ -15,7 +15,7 @@ from bumpless.groebner import (
     leading_monomials,
 )
 from bumpless.monomial import MonomialIdeal, prime_names
-from bumpless.rings import matrix_ring
+from bumpless.rings import matrix_ring, parse_poly
 
 W6 = perms.perm_from_text("214365")
 W7 = perms.perm_from_text("4721653")
@@ -237,6 +237,16 @@ def test_theorem_b_dominant_and_identity():
     assert report["status"] == "pass"
     assert report["witness"]["crossing-sets"] == [["z[1,1]", "z[1,2]", "z[2,1]"]]
     assert tr.verify_theorem_B((1, 2, 3))["status"] == "pass"
+
+
+def test_theorem_b_names_the_leads_that_are_not_squarefree(monkeypatch):
+    def rigged(w, ring):
+        return [parse_poly(ring, "z[1,1]^2*z[1,2]"), parse_poly(ring, "z[2,1]")]
+
+    monkeypatch.setattr(tr, "fulton_generators", rigged)
+    report = tr.verify_theorem_B((2, 1))
+    assert report["status"] == "fail"
+    assert report["witness"]["not-radical"] == ["z[1,1]^2*z[1,2]"]
 
 
 def test_theorem_b_reads_the_initial_ideal_off_the_certified_minors(monkeypatch):
