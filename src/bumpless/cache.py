@@ -84,8 +84,8 @@ def _encode(ring, terms) -> list[list[int]]:
 def _decode(ring, data) -> list[dict[int, int]] | None:
     if not isinstance(data, list):
         return None
-    units = ring._units
-    nvars = len(units)
+    shifts = ring._decode_shifts
+    nvars = len(shifts)
     basis = []
     leads = []
     for rows in data:
@@ -107,7 +107,7 @@ def _decode(ring, data) -> list[dict[int, int]] | None:
                     return None
                 if not (prev < v < nvars and 0 < e < SLOT_CAP):
                     return None
-                m += e * units[v]
+                m += e << shifts[v]
                 prev = v
             terms[m] = c
         if len(terms) != len(rows):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -24,7 +23,7 @@ from . import perms
 from . import transition as tr
 from .groebner import asm_generators, buchberger, initial_ideal
 from .monomial import MonomialIdeal, grading_images, prime_names
-from .rings import lex_ring, matrix_ring, parse_cell, parse_poly
+from .rings import Ring, matrix_ring, parse_cell, parse_poly
 from .schubert import (
     double_ring,
     grothendieck_poly,
@@ -47,11 +46,16 @@ def _perm_or_asm(text: str):
 
 
 def _monomial_ideal(text: str):
-    cells = re.findall(r"z\[(\d+),(\d+)\]", text)
-    if not cells:
+    """The ideal over just the cells the text names, in the antidiagonal
+    order; an index 0 names no cell, so it reads as an unknown variable."""
+    found = re.findall(r"z\[(\d+),(\d+)\]", text)
+    if not found:
         raise ValueError("no z[i,j] variables found in the ideal text")
-    n = max(int(v) for pair in cells for v in pair)
-    ring = matrix_ring(n, "antidiag")
+    cells = sorted({(int(i), int(j)) for i, j in found if int(i) and int(j)})
+    ring = Ring(
+        (f"z[{i},{j}]" for i, j in cells),
+        sorted(range(len(cells)), key=lambda v: (cells[v][0], -cells[v][1])),
+    )
     pieces = re.split(r",(?![^\[]*\])", text)
     return MonomialIdeal.from_polys(
         [parse_poly(ring, p) for p in pieces if p.strip()]
@@ -126,17 +130,8 @@ def cmd_mono(args) -> int:
         names = [list(prime_names(ring, P)) for P in J.associated_primes()]
         _emit(args, [" , ".join(p) for p in names], {"primes": names})
     else:
-        grading = args.grading or "rows-columns"
-        n = math.isqrt(len(ring.names))
-        if grading == "standard":
-            target = lex_ring(("q",))
-        elif grading == "rows":
-            target = x_ring(n)
-        else:
-            target = double_ring(n)
-        images = grading_images(ring, target, grading)
         grade = J.multidegree if args.action == "multidegree" else J.k_polynomial
-        f = grade(target, images)
+        f = grade(*grading_images(ring, args.grading or "rows-columns"))
         _emit(args, [f.to_text()], {"poly": f.term_map()})
     return 0
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .rings import Poly, Ring
+from .rings import Poly, Ring, lex_ring
 
 
 def _minimalize(ring: Ring, monomials) -> tuple[int, ...]:
@@ -139,7 +139,7 @@ class MonomialIdeal:
         if self.is_unit:
             return [self]
         dec = self.ring.decode
-        units = self.ring._units
+        shifts = self.ring._decode_shifts
         supports = sorted(
             ([(v, e) for v, e in enumerate(dec(g)) if e] for g in self.gens),
             key=len,
@@ -166,7 +166,7 @@ class MonomialIdeal:
             comps = kept
         return sorted(
             (
-                MonomialIdeal(self.ring, (a * units[v] for v, a in Q.items()))
+                MonomialIdeal(self.ring, (a << shifts[v] for v, a in Q.items()))
                 for Q, _ in comps
             ),
             key=lambda Q: Q.gens,
@@ -296,30 +296,30 @@ def prime_from_names(ring: Ring, names) -> frozenset[int]:
     return frozenset(ring.index(nm) for nm in names)
 
 
-def _matrix_cells(ring: Ring) -> list[tuple[int, int]]:
+def grading_images(ring: Ring, kind: str) -> tuple[Ring, tuple[int, ...]]:
+    """A target ring and the packed target weight of each variable.
+
+    ``standard`` sends everything to q, ``rows`` sends z[i,j] to x{i},
+    ``rows-columns`` sends z[i,j] to x{i}*y{j}, with x and y for just the
+    rows and columns the ring names: for an n by n matrix the target is
+    ``schubert.x_ring(n)`` or ``double_ring(n)``.
+    """
+    if kind == "standard":
+        target = lex_ring(("q",))
+        return target, (target.variable("q"),) * len(ring.names)
+    if kind not in ("rows", "rows-columns"):
+        raise ValueError(f"unknown grading {kind!r}")
     cells = []
     for nm in ring.names:
         if not (nm.startswith("z[") and nm.endswith("]")):
             raise ValueError(f"{nm!r} is not a matrix variable")
         i, j = nm[2:-1].split(",")
         cells.append((int(i), int(j)))
-    return cells
-
-
-def grading_images(ring: Ring, target: Ring, kind: str):
-    """Packed target weights per variable.
-
-    ``standard`` sends everything to the first target variable, ``rows``
-    sends z[i,j] to x{i}, ``rows-columns`` sends z[i,j] to x{i}*y{j}.
-    """
-    if kind == "standard":
-        unit = target._units[0]
-        return tuple(unit for _ in ring.names)
-    cells = _matrix_cells(ring)
+    xs = [f"x{i}" for i in sorted({i for i, _ in cells})]
     if kind == "rows":
-        return tuple(target.variable(f"x{i}") for i, _ in cells)
-    if kind == "rows-columns":
-        return tuple(
-            target.variable(f"x{i}") + target.variable(f"y{j}") for i, j in cells
-        )
-    raise ValueError(f"unknown grading {kind!r}")
+        target = lex_ring(xs)
+        return target, tuple(target.variable(f"x{i}") for i, _ in cells)
+    target = lex_ring(xs + [f"y{j}" for j in sorted({j for _, j in cells})])
+    return target, tuple(
+        target.variable(f"x{i}") + target.variable(f"y{j}") for i, j in cells
+    )

@@ -9,6 +9,10 @@ addition.  The top bit of every slot is a guard kept at zero; it
 absorbs borrows during subtraction, which turns divisibility into
 three integer operations no matter how many variables there are.
 
+A ring keeps one shift per variable, where its slot starts, and its
+masks over all slots are repeated byte patterns, so its state and build
+time are linear in its variables.
+
 A layout is a permutation of the variables, one slot each.  An order
 that compares one variable first and then falls back to a base order
 moves that variable's slot to the top of the base layout
@@ -32,7 +36,7 @@ SLOT_CAP = 1 << (SLOT_BITS - 1)
 class Ring:
     """Polynomial ring with a fixed monomial order given by a slot layout."""
 
-    __slots__ = ("names", "layout", "_index", "_units", "_decode_shifts",
+    __slots__ = ("names", "layout", "_index", "_decode_shifts",
                  "_guard", "_values", "_lanes", "_nbytes", "_unpack", "_pick")
 
     def __init__(self, names, layout):
@@ -44,17 +48,15 @@ class Ring:
             raise ValueError("layout must be a permutation of the variables")
         self._index = {nm: v for v, nm in enumerate(self.names)}
         nslots = len(self.layout)
-        shifts = tuple(SLOT_BITS * (nslots - 1 - k) for k in range(nslots))
         decode = [0] * nslots
         for k, v in enumerate(self.layout):
-            decode[v] = shifts[k]
-        self._units = tuple(1 << s for s in decode)
+            decode[v] = SLOT_BITS * (nslots - 1 - k)
         self._decode_shifts = tuple(decode)
-        self._guard = sum(SLOT_CAP << s for s in shifts)
-        self._values = sum((SLOT_CAP - 1) << s for s in shifts)
+        self._guard = int.from_bytes(b"\x80\x00" * nslots, "big")
+        self._values = int.from_bytes(b"\x7f\xff" * nslots, "big")
         # The low half of every 32-bit lane: what ``degree`` needs to add
         # up the exponents without a loop.
-        self._lanes = sum(0xFFFF << s for s in range(0, SLOT_BITS * nslots, 32))
+        self._lanes = int.from_bytes(b"\xff\xff\x00\x00" * ((nslots + 1) // 2), "little")
         # ``decode`` unpacks every slot in one C call, then picks the slot
         # of each variable, if the slots are not the variables in order.
         self._nbytes = 2 * nslots
@@ -84,7 +86,7 @@ class Ring:
 
     def variable(self, name):
         """Packed monomial for a single variable."""
-        return self._units[self.index(name)]
+        return 1 << self._decode_shifts[self.index(name)]
 
     def encode(self, exponents):
         """Pack an exponent vector (sequence by index, or dict by name)."""
@@ -97,10 +99,10 @@ class Ring:
             if len(vec) != len(self.names):
                 raise ValueError("exponent vector has wrong length")
         m = 0
-        for v, e in enumerate(vec):
+        for e, s in zip(vec, self._decode_shifts):
             if not 0 <= e < SLOT_CAP:
                 raise ValueError(f"exponent {e} out of range")
-            m += e * self._units[v]
+            m += e << s
         return m
 
     def decode(self, m):
@@ -428,7 +430,6 @@ class Poly:
             return got[e - 1]
 
         shifts = self.ring._decode_shifts
-        units = self.ring._units
 
         def substitute(terms, v):
             # ``terms`` mentions only source variables v and later.
@@ -437,7 +438,7 @@ class Poly:
             groups = {}
             for m, c in terms.items():
                 e = m >> shifts[v] & (SLOT_CAP - 1)
-                groups.setdefault(e, {})[m - e * units[v]] = c
+                groups.setdefault(e, {})[m - (e << shifts[v])] = c
             acc = {}
             for e, group in groups.items():
                 part = substitute(group, v + 1)

@@ -69,7 +69,7 @@ def divided_difference(f: Poly, i: int) -> Poly:
     v = ring.index(f"x{i + 1}")
     su = ring._decode_shifts[u]
     sv = ring._decode_shifts[v]
-    step = ring._units[v] - ring._units[u]
+    step = (1 << sv) - (1 << su)
     terms = f.terms
     num = {}
     for m, c in terms.items():
@@ -119,9 +119,11 @@ _FAMILIES = {
 }
 
 _MEMO: dict[tuple, Poly] = {}
-# A walk that finds the memo this full empties it first, so a long-lived
-# process holds at most this many entries plus one walk.
-_MEMO_CAP = 4096
+# A walk that finds the memo holding more terms than this empties it
+# first (an entry count bounds nothing: all 720 S6 Grothendieck
+# polynomials hold 21.1 million terms, one of them 308,473).
+_MEMO_TERMS_CAP = 4_000_000
+_memo_terms = 0
 
 
 def _own_word(w: Perm, ring: Ring) -> Perm:
@@ -138,11 +140,13 @@ def _by_descents(w: Perm, ring: Ring, tag: str) -> Poly:
     """Walk up by first ascents to a memo hit or to the longest word, then
     back down, storing each step.  The staircase is built only on a memo
     miss at the longest word."""
+    global _memo_terms
     n = len(w)
     top = longest_element(n)
     factor, step = _FAMILIES[tag]
-    if len(_MEMO) >= _MEMO_CAP:
+    if _memo_terms > _MEMO_TERMS_CAP:
         _MEMO.clear()
+        _memo_terms = 0
     below = []
     while (tag, ring, w) not in _MEMO and w != top:
         i = next(i for i in range(1, n) if w[i - 1] < w[i])
@@ -152,8 +156,10 @@ def _by_descents(w: Perm, ring: Ring, tag: str) -> Poly:
     if val is None:
         staircase = ((i, j) for i in range(1, n) for j in range(1, n - i + 1))
         val = _MEMO[(tag, ring, w)] = _product(ring, staircase, factor)
+        _memo_terms += len(val.terms)
     for w, i in reversed(below):
         val = _MEMO[(tag, ring, w)] = globals()[step](val, i)
+        _memo_terms += len(val.terms)
     return val
 
 
@@ -197,11 +203,11 @@ def set_beta(f: Poly, value: int) -> Poly:
     """Substitute a constant for beta, staying in the same ring."""
     ring = f.ring
     v = ring.index(BETA)
-    unit = ring._units[v]
+    shift = ring._decode_shifts[v]
     rekeyed = []
     for m, c in f.terms.items():
         e = ring.decode(m)[v]
-        rekeyed.append((m - e * unit, c * value**e))
+        rekeyed.append((m - (e << shift), c * value**e))
     return Poly(ring, rekeyed)
 
 

@@ -194,10 +194,8 @@ def verify_hilbert_transition(w, corner: Cell, order: str = "diag") -> dict:
     where the (i, j) entry carries weight x_i*y_j."""
     td = transition_data(w, corner)
     a, b = corner
-    n = len(w)
-    R = matrix_ring(n, order)
-    T = double_ring(n)
-    images = grading_images(R, T, "rows-columns")
+    R = matrix_ring(len(w), order)
+    T, images = grading_images(R, "rows-columns")
 
     def F(u) -> Poly:
         J = MonomialIdeal(R, initial_ideal(fulton_generators(u, R)))
@@ -329,8 +327,7 @@ def verify_theorem_B(w) -> dict:
     is the initial ideal once the minors are certified a basis; if they
     are not, the case fails on that."""
     w = perms.validate_perm(w)
-    n = len(w)
-    R = matrix_ring(n, "antidiag")
+    R = matrix_ring(len(w), "antidiag")
     gens = fulton_generators(w, R)
     failures: dict = {}
 
@@ -354,8 +351,8 @@ def verify_theorem_B(w) -> dict:
     tilings = len(bpd_mod.enumerate_bpds(w))
     if len(mins) != tilings:
         failures["facet-count"] = {"facets": len(mins), "tilings": tilings}
-    T = double_ring(n)
-    md = J.multidegree(T, grading_images(R, T, "rows-columns"))
+    T, images = grading_images(R, "rows-columns")
+    md = J.multidegree(T, images)
     if md != schubert_poly(w, T):
         failures["multidegree"] = md.to_text()
 

@@ -122,6 +122,30 @@ def test_high_power_multidegree_does_not_recurse(capsys):
 @pytest.mark.parametrize(
     "action, expected",
     [
+        ("ass", "z[100000,1]\n"),
+        ("multidegree", "x100000 + y1\n"),
+        ("kpoly", "-x100000*y1 + 1\n"),
+    ],
+)
+def test_mono_reads_only_the_cells_it_names(action, expected, capsys):
+    # A 100000 by 100000 matrix ring would not fit in memory.
+    assert run(capsys, "mono", action, "z[100000,1]") == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "text, bad",
+    [("z[0,0]", "z[0,0]"), ("z[0,3], z[2,2]", "z[0,3]"), ("z[1,1]*z[2,0]", "z[2,0]")],
+)
+def test_index_zero_cell_is_an_unknown_variable(text, bad, capsys):
+    assert cli.main(["mono", "ass", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown variable {bad!r}\n"
+
+
+@pytest.mark.parametrize(
+    "action, expected",
+    [
         ("kpoly", "1100*q^1101 - 1101*q^1100 + 1\n"),
         ("multidegree", "605550*q^2\n"),
     ],

@@ -16,7 +16,8 @@ from bumpless.monomial import (
     prime_from_names,
     prime_names,
 )
-from bumpless.rings import Poly, lex_ring, matrix_ring, parse_poly
+from bumpless.rings import Poly, Ring, lex_ring, matrix_ring, parse_poly
+from bumpless.schubert import double_ring, x_ring
 
 R2 = matrix_ring(2)
 AB = lex_ring(("a", "b"))
@@ -60,8 +61,7 @@ def test_degree_of_the_unit_ideal_is_zero():
     U = MonomialIdeal(R2, [0])
     assert U.degree() == 0
     assert U.multiplicity_at(prime_from_names(R2, ("z[1,1]",))) == 0
-    Q = lex_ring(("q",))
-    assert U.multidegree(Q, grading_images(R2, Q, "standard")).is_zero
+    assert U.multidegree(*grading_images(R2, "standard")).is_zero
 
 
 def test_from_polys_rejects_sums():
@@ -152,34 +152,50 @@ def test_initial_ideal_of_smallest_lattice_pair():
 
 
 def test_k_polynomial_frozen():
-    T = lex_ring(("x1", "x2", "y1", "y2"))
-    imgs = grading_images(R2, T, "rows-columns")
+    T, imgs = grading_images(R2, "rows-columns")
+    assert T == lex_ring(("x1", "x2", "y1", "y2"))
     assert ideal(R2, "z[1,1]").k_polynomial(T, imgs).to_text() == "-x1*y1 + 1"
-    Q = lex_ring(("q",))
-    std = grading_images(R2, Q, "standard")
+    Q, std = grading_images(R2, "standard")
     assert ideal(R2, "z[1,1]*z[2,2]").k_polynomial(Q, std).to_text() == "-q^2 + 1"
     assert MonomialIdeal(R2).k_polynomial(Q, std).to_text() == "1"
     assert ideal(R2, "1").k_polynomial(Q, std).is_zero
 
 
 def test_multidegree_frozen():
-    T = lex_ring(("x1", "x2", "y1", "y2"))
-    imgs = grading_images(R2, T, "rows-columns")
+    T, imgs = grading_images(R2, "rows-columns")
     assert ideal(R2, "z[1,1]").multidegree(T, imgs).to_text() == "x1 + y1"
     got = ideal(R2, "z[1,1]*z[2,2]").multidegree(T, imgs)
     assert got.to_text() == "x1 + x2 + y1 + y2"
 
 
 def test_rows_grading_and_errors():
-    T = lex_ring(("x1", "x2"))
-    imgs = grading_images(R2, T, "rows")
+    T, imgs = grading_images(R2, "rows")
+    assert T == lex_ring(("x1", "x2"))
     assert ideal(R2, "z[2,1]").k_polynomial(T, imgs).to_text() == "-x2 + 1"
     with pytest.raises(ValueError, match="not a matrix variable"):
-        grading_images(AB, T, "rows")
+        grading_images(AB, "rows")
     with pytest.raises(ValueError, match="unknown grading"):
-        grading_images(R2, T, "columns")
+        grading_images(R2, "columns")
     with pytest.raises(ValueError, match="one grading image"):
-        ideal(R2, "z[1,1]").k_polynomial(T, (T._units[0],))
+        ideal(R2, "z[1,1]").k_polynomial(T, (T.variable("x1"),))
+
+
+@pytest.mark.parametrize("order", ["diag", "antidiag", "yref:1,1:col-lex"])
+def test_grading_targets_of_a_matrix_ring(order):
+    for n in range(1, 7):
+        R = matrix_ring(n, order)
+        assert grading_images(R, "rows-columns")[0] == double_ring(n)
+        assert grading_images(R, "rows")[0] == x_ring(n)
+        assert grading_images(R, "standard")[0] == lex_ring(("q",))
+
+
+def test_grading_targets_name_only_the_rows_and_columns_used():
+    ring = Ring(("z[2,5]", "z[7,1]"), (0, 1))
+    T, imgs = grading_images(ring, "rows-columns")
+    assert T.names == ("x2", "x7", "y1", "y5")
+    assert [T.monomial_text(m) for m in imgs] == ["x2*y5", "x7*y1"]
+    T, imgs = grading_images(ring, "rows")
+    assert T.names == ("x2", "x7")
 
 
 def test_prime_name_round_trip():
@@ -321,8 +337,7 @@ def test_irreducible_components_is_a_fresh_list():
 @settings(max_examples=40, deadline=None)
 @given(small_ideals(AB, 3, 3), small_ideals(AB, 3, 3))
 def test_k_polynomial_inclusion_exclusion(I, J):
-    Q = lex_ring(("q",))
-    std = grading_images(AB, Q, "standard")
+    Q, std = grading_images(AB, "standard")
 
     def K(X):
         return X.k_polynomial(Q, std)
@@ -331,8 +346,7 @@ def test_k_polynomial_inclusion_exclusion(I, J):
 
 
 def test_standard_multidegree_reads_degree_and_codim():
-    Q = lex_ring(("q",))
-    std = grading_images(R2, Q, "standard")
+    Q, std = grading_images(R2, "standard")
     for J in (
         ideal(R2, "z[1,1]^2*z[2,2]"),
         ideal(R2, "z[1,1]", "z[1,2]*z[2,1]"),

@@ -144,6 +144,25 @@ def test_ring_survives_pickling():
         assert copy.decode(m) == ring.decode(m)
 
 
+def test_masks_are_the_per_slot_sums():
+    # The byte patterns equal the masks summed one slot at a time.
+    for nslots in range(81):
+        ring = Ring([f"v{k}" for k in range(nslots)], range(nslots))
+        shifts = range(0, 16 * nslots, 16)
+        assert ring._guard == sum(SLOT_CAP << s for s in shifts)
+        assert ring._values == sum((SLOT_CAP - 1) << s for s in shifts)
+        assert ring._lanes == sum(0xFFFF << s for s in range(0, 16 * nslots, 32))
+
+
+def test_variable_is_one_at_its_slot():
+    for ring in (R_DIAG, R_ANTI, R_REFINED):
+        for v, nm in enumerate(ring.names):
+            unit = [0] * len(ring.names)
+            unit[v] = 1
+            assert ring.variable(nm) == ring.encode(unit)
+            assert ring.decode(ring.variable(nm)) == tuple(unit)
+
+
 DEGREE_RINGS = [
     matrix_ring(n, spec)
     for n in (3, 7)

@@ -87,6 +87,7 @@ def _count_cells(monkeypatch):
     """Empty the memo and record how many cells each staircase build
     multiplies out, with the ring it is built in."""
     monkeypatch.setattr(schubert, "_MEMO", {})
+    monkeypatch.setattr(schubert, "_memo_terms", 0)
     builds = []
     product = schubert._product
 
@@ -260,38 +261,43 @@ def test_multidegree_of_initial_ideal_is_double_schubert():
         R = matrix_ring(3)
         gb = buchberger(fulton_generators(w, R), use_cache=False)
         J = MonomialIdeal(R, initial_ideal(gb))
-        images = grading_images(R, D3, "rows-columns")
-        assert J.multidegree(D3, images) == schubert_poly(w, D3)
+        T, images = grading_images(R, "rows-columns")
+        assert T == D3
+        assert J.multidegree(T, images) == schubert_poly(w, D3)
 
 
 def test_k_polynomial_order_independent():
-    T = double_ring(4)
     for w in [(2, 1, 4, 3), (4, 1, 3, 2), (1, 4, 3, 2)]:
         ks = []
         for order in ("diag", "antidiag"):
             R = matrix_ring(4, order)
             gb = buchberger(fulton_generators(w, R), use_cache=False)
             J = MonomialIdeal(R, initial_ideal(gb))
-            ks.append(J.k_polynomial(T, grading_images(R, T, "rows-columns")))
+            ks.append(J.k_polynomial(*grading_images(R, "rows-columns")))
         assert ks[0] == ks[1]
 
 
 def test_memo_is_bounded_without_changing_an_answer(monkeypatch):
-    # Under a cap of 10 a walk starts on at most 9 entries and adds at
-    # most 7 (S4's longest chain up to the top), so 16 is the ceiling.
+    # Under a cap of 100 terms a walk starts on at most 100 terms and adds
+    # at most 7 entries (S4's longest chain up to the top).
     families = [
         (schubert_poly, double_ring),
         (grothendieck_poly, grothendieck_ring),
         (single_schubert_poly, x_ring),
     ]
     monkeypatch.setattr(schubert, "_MEMO", {})
+    monkeypatch.setattr(schubert, "_memo_terms", 0)
     uncapped = {(f, w): f(w, ring(4)) for f, ring in families for w in S4}
+    largest = max(len(p.terms) for p in uncapped.values())
     monkeypatch.setattr(schubert, "_MEMO", {})
-    monkeypatch.setattr(schubert, "_MEMO_CAP", 10)
-    sizes = []
+    monkeypatch.setattr(schubert, "_memo_terms", 0)
+    monkeypatch.setattr(schubert, "_MEMO_TERMS_CAP", 100)
+    held = []
     for f, ring in families:
         for w in S4:
             assert f(w, ring(4)) == uncapped[f, w]
-            sizes.append(len(schubert._MEMO))
-    assert 10 < max(sizes) <= 16
-    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+            terms = sum(len(p.terms) for p in schubert._MEMO.values())
+            assert terms == schubert._memo_terms
+            held.append(terms)
+    assert 100 < max(held) <= 100 + 7 * largest
+    assert any(later < earlier for earlier, later in zip(held, held[1:]))
