@@ -7,6 +7,9 @@ and grouped by support once per ideal: the supports are exactly the
 associated primes, and the length at a minimal prime counts the
 standard monomials of the components supported on it.  K-polynomials
 come from the colon exact sequence, memoized on the generator set.
+The zero ideal is its own single component, with the prime on no
+variables, multiplicity 1 and degree 1; the unit ideal has no primes
+and degree 0, and decomposes as itself.
 """
 
 from __future__ import annotations
@@ -76,10 +79,6 @@ class MonomialIdeal:
         return f"MonomialIdeal({inside})"
 
     @property
-    def is_zero(self):
-        return not self.gens
-
-    @property
     def is_unit(self):
         return self.gens == (0,)
 
@@ -134,8 +133,6 @@ class MonomialIdeal:
         dropping each one that contains a component already taken
         leaves exactly the irredundant ones.
         """
-        if self.is_zero:
-            return []
         if self.is_unit:
             return [self]
         dec = self.ring.decode
@@ -181,23 +178,15 @@ class MonomialIdeal:
             for Q in self.irreducible_components():
                 corner = sum(Q.gens)
                 groups.setdefault(self.support(corner), []).append(corner)
-            self._by_support = groups
+            self._by_support = {} if self.is_unit else groups
         return self._by_support
 
     def associated_primes(self) -> list[frozenset[int]]:
         """Supports of the associated primes, smallest first: the radicals
         of the irredundant irreducible components."""
-        if self.is_zero:
-            return [frozenset()]
-        if self.is_unit:
-            return []
         return sorted(self._groups(), key=lambda S: (len(S), sorted(S)))
 
     def minimal_primes(self) -> list[frozenset[int]]:
-        if self.is_zero:
-            return [frozenset()]
-        if self.is_unit:
-            return []
         rads = self._groups()
         keep = [S for S in rads if not any(T < S for T in rads)]
         return sorted(keep, key=lambda S: (len(S), sorted(S)))
@@ -209,12 +198,6 @@ class MonomialIdeal:
         prime; when all are supported on it, their standard monomials are
         what is left (Miller and Sturmfels, ch. 5)."""
         S = frozenset(prime)
-        if self.is_unit:
-            return 0
-        if self.is_zero:
-            if not S:
-                return 1
-            raise ValueError("localization has infinite length")
         groups = self._groups()
         if any(T < S for T in groups):
             raise ValueError("localization has infinite length")
@@ -224,11 +207,7 @@ class MonomialIdeal:
         """Sum of multiplicities over the minimal primes of top dimension;
         0 for the unit ideal, which has none."""
         primes = self.minimal_primes()
-        if not primes:
-            return 0
-        if primes == [frozenset()]:
-            return 1
-        codim = min(len(S) for S in primes)
+        codim = min(map(len, primes), default=0)
         return sum(
             self.multiplicity_at(S) for S in primes if len(S) == codim
         )
@@ -251,8 +230,6 @@ class MonomialIdeal:
             return Poly(target, {packed: 1})
 
         def K(gens: tuple[int, ...]) -> Poly:
-            if gens == (0,):
-                return Poly.zero(target)
             val = memo.get(gens)
             if val is not None:
                 return val

@@ -517,8 +517,6 @@ def exact_divide(f, g):
         raise ZeroDivisionError("division by the zero polynomial")
     if f.ring != g.ring:
         raise ValueError("polynomials live in different rings")
-    if f.is_zero:
-        return f
     ring = f.ring
     guard = ring._guard
     glm = g.leading_monomial()

@@ -86,8 +86,6 @@ def divided_difference(f: Poly, i: int) -> Poly:
             if key not in terms:
                 num[m] = c
                 num[key] = -c
-    if not num:
-        return Poly.zero(ring)
     return exact_divide(Poly._of(ring, num), xvar(ring, i) - xvar(ring, i + 1))
 
 

@@ -143,6 +143,17 @@ def _case_name(ws, corner: Cell | None = None) -> str:
     return words if corner is None else f"{words}@{corner[0]},{corner[1]}"
 
 
+def _family(ws) -> tuple[list[perms.Perm], int]:
+    """The words of a family as permutations, with their one matrix size;
+    ValueError unless they are distinct and share that size."""
+    ws = [perms.validate_perm(w) for w in ws]
+    if len(set(ws)) != len(ws):
+        raise ValueError("permutations must be distinct")
+    if len({len(w) for w in ws}) != 1:
+        raise ValueError("permutations must share one matrix size")
+    return ws, len(ws[0])
+
+
 def _corner_recurrence(td: TransitionData, statement: str, F, c1, c2, ratio) -> dict:
     """The corner check of the module docstring, with r = ratio.  The
     subsets of phi are taken by size k: the F(target(U)) of one size are
@@ -285,16 +296,10 @@ def verify_main_theorem(ws, order: str = "diag") -> dict:
     """Minimal primes of the diagonal initial ideal of an intersection,
     counted with multiplicity, against the multiset of droop-tiling
     diagrams of the same permutations."""
-    ws = [perms.validate_perm(w) for w in ws]
-    if len(set(ws)) != len(ws):
-        raise ValueError("permutations must be distinct")
-    sizes = {len(w) for w in ws}
-    if len(sizes) != 1:
-        raise ValueError("permutations must share one matrix size")
+    ws, n = _family(ws)
     lengths = {perms.coxeter_length(w) for w in ws}
     if len(lengths) != 1:
         raise ValueError("permutations must share one length")
-    n = sizes.pop()
     R = matrix_ring(n, order)
 
     expected: dict[frozenset[int], int] = {}
@@ -338,16 +343,15 @@ def verify_theorem_B(w) -> dict:
     if squares:
         failures["not-radical"] = [R.monomial_text(m) for m in squares]
     mins = J.minimal_primes()
-    if not J.is_zero:
-        back = reduce(
-            MonomialIdeal.intersect,
-            (
-                MonomialIdeal(R, (R.variable(nm) for nm in prime_names(R, P)))
-                for P in mins
-            ),
-        )
-        if back != J:
-            failures["not-intersection-of-primes"] = True
+    back = reduce(
+        MonomialIdeal.intersect,
+        (
+            MonomialIdeal(R, (R.variable(nm) for nm in prime_names(R, P)))
+            for P in mins
+        ),
+    )
+    if back != J:
+        failures["not-intersection-of-primes"] = True
     tilings = len(bpd_mod.enumerate_bpds(w))
     if len(mins) != tilings:
         failures["facet-count"] = {"facets": len(mins), "tilings": tilings}
@@ -368,7 +372,7 @@ def verify_theorem_B(w) -> dict:
 def verify_linearity(ws, corner: Cell) -> dict:
     """No reduced-basis element of the intersection may carry the corner
     variable squared, under the corner-refined order."""
-    n = len(ws[0])
+    ws, n = _family(ws)
     a, b = corner
     R = matrix_ring(n, f"yref:{a},{b}:diag")
     gb = intersect_many([fulton_generators(w, R) for w in ws])
@@ -385,10 +389,9 @@ def verify_linearity(ws, corner: Cell) -> dict:
 def verify_intersectNs(ws, corner: Cell) -> dict:
     """The free half of the intersection's split equals the intersection
     of the free halves, computed under the corner-first order."""
-    ws = [perms.validate_perm(w) for w in ws]
+    ws, n = _family(ws)
     if corner not in southeast_cells(ws):
         raise ValueError(f"{corner} is not maximally southeast for this family")
-    n = len(ws[0])
     a, b = corner
     R = matrix_ring(n, f"yref:{a},{b}:antidiag")
     _, whole = cell_split(
@@ -407,8 +410,7 @@ def verify_intersectNs(ws, corner: Cell) -> dict:
 def verify_ycompat(ws, corner: Cell, order: str = "diag") -> dict:
     """Refining a diagonal order by the corner variable must not change
     the initial ideal of the intersection."""
-    ws = [perms.validate_perm(w) for w in ws]
-    n = len(ws[0])
+    ws, n = _family(ws)
     a, b = corner
     R_plain = matrix_ring(n, order)
     R_refined = matrix_ring(n, f"yref:{a},{b}:{order}")

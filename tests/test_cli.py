@@ -249,6 +249,63 @@ def test_mono_commands(capsys):
     assert out.strip() == "x1^2 + x1*x2 + 2*x1*y1 + x1*y2 + x2*y1 + y1^2 + y1*y2"
 
 
+@pytest.mark.parametrize(
+    "action, text, payload",
+    [
+        ("decompose", "1\n", {"components": [["1"]]}),
+        ("ass", "", {"primes": []}),
+        ("kpoly", "0\n", {"poly": {}}),
+        ("multidegree", "0\n", {"poly": {}}),
+    ],
+)
+def test_mono_on_the_unit_ideal(capsys, action, text, payload):
+    # The unit ideal decomposes as itself and has no primes; its
+    # K-polynomial and multidegree are zero.
+    assert run(capsys, "mono", action, "z[1,1], 1") == (0, text)
+    code, out = run(capsys, "--format", "json", "mono", action, "z[1,1], 1")
+    assert code == 0
+    assert json.loads(out) == {"schema": cli.SCHEMA, **payload}
+
+
+@pytest.mark.parametrize("word", ["1", "1234"])
+@pytest.mark.parametrize(
+    "target, statement, witness",
+    [
+        ("theoremB", "antidiagonal-degeneration", {"crossing-sets": [[]]}),
+        ("main", "components-match-tilings", {"components": 1}),
+    ],
+)
+def test_verify_reports_on_the_identity(capsys, word, target, statement, witness):
+    # The identity's ideal is zero: one component, the prime on no
+    # variables, for its one tiling without blank tiles.
+    code, out = run(capsys, "--format", "json", "verify", target, word)
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": cli.SCHEMA,
+        "failed": 0,
+        "reports": [
+            {"case": word, "statement": statement, "status": "pass", "witness": witness}
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "words, message",
+    [
+        (["123", "21"], "permutations must share one matrix size"),
+        (["21", "123"], "permutations must share one matrix size"),
+        (["21", "21"], "permutations must be distinct"),
+    ],
+)
+@pytest.mark.parametrize("target", ["ycompat", "main"])
+def test_verify_checks_a_family_like_main(capsys, target, words, message):
+    corner = ["--corner", "1,1"] if target == "ycompat" else []
+    assert cli.main(["--workers", "1", "verify", target, *words, *corner]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_decompose_prints_only_irredundant_components(capsys):
     # (z[1,1], z[2,1]) contains the component (z[1,1]), so it is not listed.
     code, out = run(capsys, "mono", "decompose", "z[1,1]*z[2,1], z[1,1]*z[2,2]")

@@ -45,15 +45,30 @@ def test_minimal_antichain():
 
 
 def test_zero_and_unit_edges():
-    Z = MonomialIdeal(R2)
-    assert Z.is_zero and not Z.is_unit
+    for ring in (R2, AB, matrix_ring(1), matrix_ring(4)):
+        zero_and_unit_edges(ring)
+
+
+def zero_and_unit_edges(ring):
+    # The zero ideal is its own single component, on the prime of no
+    # variables; the unit ideal decomposes as itself, with no primes.
+    Z = MonomialIdeal(ring)
+    assert Z.gens == () and not Z.is_unit
+    assert Z.irreducible_components() == [MonomialIdeal(ring)]
+    assert reduce(MonomialIdeal.intersect, Z.irreducible_components()) == Z
     assert Z.minimal_primes() == [frozenset()]
     assert Z.associated_primes() == [frozenset()]
+    assert Z.multiplicity_at(frozenset()) == 1
+    with pytest.raises(ValueError, match="infinite length"):
+        Z.multiplicity_at(frozenset({0}))
     assert Z.degree() == 1
-    U = ideal(R2, "1")
-    assert U.is_unit and not U.is_zero
+    U = MonomialIdeal(ring, [0])
+    assert U.is_unit and U.gens
+    assert U.irreducible_components() == [U]
     assert U.minimal_primes() == []
     assert U.associated_primes() == []
+    assert U.multiplicity_at(frozenset()) == 0
+    assert U.degree() == 0
 
 
 def test_degree_of_the_unit_ideal_is_zero():
@@ -239,7 +254,7 @@ def brute_associated_primes(J):
     for m in box_monomials(ring, cap):
         C = J.colon(m)
         names = set()
-        ok = not C.is_zero
+        ok = bool(C.gens)
         for g in C.gens:
             sup = C.support(g)
             if len(sup) != 1 or ring.decode(g)[next(iter(sup))] != 1:

@@ -207,6 +207,24 @@ def test_main_theorem_input_validation():
         tr.verify_main_theorem([(2, 1), (2, 1, 3)])
 
 
+@pytest.mark.parametrize(
+    "verify", [tr.verify_linearity, tr.verify_intersectNs, tr.verify_ycompat]
+)
+@pytest.mark.parametrize(
+    "ws, message",
+    [
+        ([(1, 2, 3), (2, 1)], "permutations must share one matrix size"),
+        ([(2, 1), (1, 2, 3)], "permutations must share one matrix size"),
+        ([(2, 1), (2, 1)], "permutations must be distinct"),
+    ],
+)
+def test_corner_verifiers_check_their_family_like_main(verify, ws, message):
+    with pytest.raises(ValueError, match=message):
+        tr.verify_main_theorem(ws)
+    with pytest.raises(ValueError, match=message):
+        verify(ws, (1, 1))
+
+
 def test_partition_multiplicities():
     # distinct parts (3, 1) as adjacent transpositions in one matrix size;
     # local lengths at the diagonal primes come out as the conjugate (2, 1, 1)
