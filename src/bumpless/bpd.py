@@ -80,6 +80,13 @@ def validate_bpd(grid, w: Perm | None = None) -> Bpd:
 def _validated(grid) -> tuple[Bpd, Perm]:
     """The rows of a valid grid and the permutation its pipes spell."""
     rows = tuple("".join(r) if not isinstance(r, str) else r for r in grid)
+    _check_edges(rows)
+    return rows, _trace(rows)
+
+
+def _check_edges(rows: Bpd) -> None:
+    """Raise unless the grid is square, every glyph is known and every
+    edge and boundary matches."""
     n = len(rows)
     if set(map(len, rows)) != {n}:
         raise InvalidBpd("grid is not square")
@@ -96,7 +103,6 @@ def _validated(grid) -> tuple[Bpd, Perm]:
         or bounded.translate(_RIGHT)[:-1] != bounded.translate(_LEFT)[1:]
     ):
         raise InvalidBpd(_edge_fault(rows))
-    return rows, _trace(rows)
 
 
 def _edge_fault(rows: Bpd) -> str:
@@ -125,13 +131,23 @@ def _trace(rows: Bpd) -> Perm:
     """The permutation of an edge-consistent grid; raise if two pipes
     cross more than once.
 
-    One sweep, bottom row first, carries the pipe entering each column
-    from below.  Edge consistency makes each row's elbows read L, J, L,
-    ..., J, L from left to right: an up-elbow takes the pipe of the
-    down-elbow before it, and the last down-elbow's pipe exits the row.
     Two pipes cross an odd number of times exactly when they form an
     inversion, so there is no repeated crossing exactly when the grid
     has as many crossings as the permutation has inversions."""
+    word = _pipes(rows)
+    if "".join(rows).count("+") != perms.coxeter_length(word):
+        raise InvalidBpd(f"pipes {_repeated_crossing(rows)} cross more than once")
+    return word
+
+
+def _pipes(rows: Bpd) -> Perm:
+    """The permutation an edge-consistent grid's pipes spell, with no
+    check of its crossings.
+
+    One sweep, bottom row first, carries the pipe entering each column
+    from below.  Edge consistency makes each row's elbows read L, J, L,
+    ..., J, L from left to right: an up-elbow takes the pipe of the
+    down-elbow before it, and the last down-elbow's pipe exits the row."""
     n = len(rows)
     up = list(range(1, n + 1))
     word = [0] * n
@@ -144,10 +160,7 @@ def _trace(rows: Bpd) -> Perm:
             j = r.find("L", k)
             k = r.find("J", j)
         word[i], up[j] = up[j], 0
-    word = tuple(word)
-    if "".join(rows).count("+") != perms.coxeter_length(word):
-        raise InvalidBpd(f"pipes {_repeated_crossing(rows)} cross more than once")
-    return word
+    return tuple(word)
 
 
 def _repeated_crossing(rows: Bpd) -> tuple[int, int]:
@@ -187,29 +200,25 @@ def diagram(B: Bpd) -> frozenset[Cell]:
     )
 
 
+_LEFT_OF_ELBOW = str.maketrans("01", ".|")
+_RIGHT_OF_ELBOW = str.maketrans("01", "-+")
+
+
 def rothe_bpd(w: Perm) -> Bpd:
     """The unique element with a down-elbow at every (i, w(i)) and no up-elbow;
     its blank cells are exactly the Rothe diagram."""
     w = perms.validate_perm(w)
-    inv = perms.inverse(w)
-    n = len(w)
+    # ``above`` holds "1" in each column whose pipe turned in a row above.
+    # Left of the row's elbow such a column reads "|" and any other ".";
+    # right of it, where the row's own pipe runs, "+" and "-".
+    above = "0" * len(w)
     rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            vert = i > inv[j - 1]
-            horiz = j > w[i - 1]
-            if j == w[i - 1]:
-                row.append("L")
-            elif vert and horiz:
-                row.append("+")
-            elif vert:
-                row.append("|")
-            elif horiz:
-                row.append("-")
-            else:
-                row.append(".")
-        rows.append("".join(row))
+    for v in w:
+        rows.append(
+            above[: v - 1].translate(_LEFT_OF_ELBOW) + "L"
+            + above[v:].translate(_RIGHT_OF_ELBOW)
+        )
+        above = above[: v - 1] + "1" + above[v:]
     return validate_bpd(rows, w)
 
 
@@ -229,7 +238,8 @@ def _droops(B: Bpd):
     From a down-elbow at (i, j) the scan goes down the rows below it,
     keeping the first column right of j that holds an elbow in any row
     from i down; blanks left of that bound are targets.  It stops at the
-    first row with an elbow in column j."""
+    first row with an elbow in column j, or once the bound is column
+    j + 1, which leaves no column for a target."""
     n = len(B)
     marks = [r.translate(_ELBOW_MARKS) for r in B]
     for i, row in enumerate(B):
@@ -240,7 +250,7 @@ def _droops(B: Bpd):
                 bound = n
             for a in range(i + 1, n):
                 m = marks[a]
-                if m[j] == "E":
+                if bound == j + 1 or m[j] == "E":
                     break
                 e = m.find("E", j + 1, bound)
                 if e >= 0:
@@ -292,10 +302,17 @@ def apply_droop(B: Bpd, move: DroopMove) -> Bpd:
 
 
 def enumerate_bpds(w: Perm) -> frozenset[Bpd]:
-    """Closure of the Rothe element under droop moves; each tiling is
-    fully validated once, when it is first reached, and must spell w."""
+    """Closure of the Rothe element under droop moves.
+
+    Each tiling is validated once, when it is first reached: its glyphs
+    and edges, then that its pipes spell w through exactly l(w)
+    crossings, which for a tiling of w is ``_trace``'s test for a
+    repeated crossing.  l(w) is computed once per call.  A tiling that
+    fails goes through ``validate_bpd``, which raises the first fault
+    in its own order of checks."""
     w = tuple(w)  # a tuple, to compare with each tiling's word; rothe_bpd validates it
     start = rothe_bpd(w)
+    length = perms.coxeter_length(w)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -303,7 +320,10 @@ def enumerate_bpds(w: Perm) -> frozenset[Bpd]:
         for move in _droops(B):
             nxt = _droop(B, *move)
             if nxt not in seen:
-                seen.add(validate_bpd(nxt, w))
+                _check_edges(nxt)
+                if _pipes(nxt) != w or "".join(nxt).count("+") != length:
+                    validate_bpd(nxt, w)
+                seen.add(nxt)
                 frontier.append(nxt)
     return frozenset(seen)
 

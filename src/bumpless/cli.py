@@ -196,6 +196,8 @@ def _verify_cases(args) -> list[tuple]:
         elif kind in ("theoremB", "asm"):
             cases.extend((kind, x) for x in ws)
         elif kind == "ycompat":
+            # A bad family is reported as such, not as a missing cell.
+            ws, _ = tr._family(ws)
             cell = corner or tr.maximal_accessible_cell(ws)
             if cell is not None:
                 cases.append((kind, ws, cell, order))

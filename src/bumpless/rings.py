@@ -352,14 +352,7 @@ class Poly:
             ((mb, cb),) = b.items()
             return Poly._of(self.ring, {ma + mb: ca * cb for ma, ca in a.items()})
         acc = {}
-        for mb, cb in b.items():
-            for ma, ca in a.items():
-                key = ma + mb
-                nc = acc.get(key, 0) + ca * cb
-                if nc:
-                    acc[key] = nc
-                elif key in acc:
-                    del acc[key]
+        _add_product(acc, a, b)
         return Poly._of(self.ring, acc)
 
     __rmul__ = __mul__
@@ -442,15 +435,7 @@ class Poly:
             acc = {}
             for e, group in groups.items():
                 part = substitute(group, v + 1)
-                factor = power(v, e).terms if e else {0: 1}
-                for pm, pc in factor.items():
-                    for m, c in part.items():
-                        key = m + pm
-                        nc = acc.get(key, 0) + c * pc
-                        if nc:
-                            acc[key] = nc
-                        elif key in acc:
-                            del acc[key]
+                _add_product(acc, part, power(v, e).terms if e else _ONE)
             return acc
 
         return Poly._of(target, substitute(self.terms, 0))
@@ -484,6 +469,23 @@ class Poly:
             else:
                 pieces.append(f" - {body}" if neg else f" + {body}")
         return "".join(pieces)
+
+
+# The term map of the constant one: adding a map times it adds the map.
+_ONE = {0: 1}
+
+
+def _add_product(acc, a, b):
+    """Add the product of the term maps a and b into the term map acc, in
+    place, deleting every coefficient that cancels to zero."""
+    for mb, cb in b.items():
+        for ma, ca in a.items():
+            key = ma + mb
+            nc = acc.get(key, 0) + ca * cb
+            if nc:
+                acc[key] = nc
+            elif key in acc:
+                del acc[key]
 
 
 def _primitive(terms):

@@ -3,7 +3,10 @@
 Each family is named once, by a tag in ``_FAMILIES`` giving its cell
 factor and its step operator.  The operator route multiplies the factor
 over the staircase cells i + j <= n and steps down once per ascent; the
-tiling route multiplies it over the blank cells of each droop tiling.
+tiling route multiplies it over the blank cells of each droop tiling and
+adds every tiling's weight into one term map.  A one-term factor, such as
+the single family's x_i, folds into one packed shift and one coefficient,
+so the single staircase and each single tiling weight are one monomial.
 Both work at the permutation's own size n, the last i with w(i) != i,
 not at the ring's: the polynomials are stable, S_{w x 1} = S_w, so a
 fixed tail changes nothing and costs nothing.
@@ -27,7 +30,7 @@ from functools import cache
 
 from . import bpd as bpd_mod
 from .perms import Perm, apply_transposition, longest_element, validate_perm
-from .rings import SLOT_CAP, Poly, Ring, exact_divide, lex_ring
+from .rings import _ONE, SLOT_CAP, Poly, Ring, _add_product, exact_divide, lex_ring
 
 BETA = "beta"
 
@@ -97,9 +100,22 @@ def isobaric_divided_difference(f: Poly, i: int) -> Poly:
 
 
 def _product(ring: Ring, cells, factor) -> Poly:
-    total = Poly.constant(ring, 1)
+    """The product of the cells' factors.  The one-term factors fold
+    into one packed shift and one coefficient, the monomial that starts
+    the product; only factors of two or more terms multiply."""
+    shift, coeff = 0, 1
+    rest = []
     for i, j in cells:
-        total = total * factor(ring, i, j)
+        f = factor(ring, i, j)
+        if len(f.terms) == 1:
+            ((m, c),) = f.terms.items()
+            shift += m
+            coeff *= c
+        else:
+            rest.append(f)
+    total = Poly._of(ring, {shift: coeff})
+    for f in rest:
+        total = total * f
     return total
 
 
@@ -188,13 +204,21 @@ def bpd_single_schubert_poly(w: Perm, ring: Ring) -> Poly:
 
 
 def _tiling_sum(w: Perm, ring: Ring, tag: str) -> Poly:
+    """Every tiling's weight, read off the blank cells of its rows, added
+    into one term map."""
     w = _own_word(w, ring)
     # Each cell's factor is built once per call, not once per tiling.
     factor = cache(_FAMILIES[tag][0])
-    total = Poly.zero(ring)
+    total = {}
     for grid in bpd_mod.enumerate_bpds(w):
-        total = total + _product(ring, bpd_mod.diagram(grid), factor)
-    return total
+        blanks = [
+            (i, j)
+            for i, row in enumerate(grid, 1)
+            for j, tile in enumerate(row, 1)
+            if tile == "."
+        ]
+        _add_product(total, _product(ring, blanks, factor).terms, _ONE)
+    return Poly._of(ring, total)
 
 
 def set_beta(f: Poly, value: int) -> Poly:

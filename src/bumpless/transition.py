@@ -44,7 +44,7 @@ from .groebner import (
     leading_monomials,
 )
 from .monomial import MonomialIdeal, grading_images, prime_names
-from .rings import Poly, Ring, matrix_ring
+from .rings import _ONE, Poly, Ring, _add_product, matrix_ring
 from .schubert import (
     BETA,
     _circ,
@@ -155,21 +155,24 @@ def _family(ws) -> tuple[list[perms.Perm], int]:
 
 
 def _corner_recurrence(td: TransitionData, statement: str, F, c1, c2, ratio) -> dict:
-    """The corner check of the module docstring, with r = ratio.  The
+    """The corner check of the module docstring, with r = ratio, as one
+    difference F(w) - c1*F(v) - c2*(tail) built in one term map.  The
     subsets of phi are taken by size k: the F(target(U)) of one size are
-    summed first, and the sum is multiplied by its weight r**(k-1) once.
-    A size whose weight is zero is never evaluated."""
+    summed in place first, and the sum is multiplied by its weight
+    -c2*r**(k-1) once.  A size whose weight is zero is never evaluated."""
     lhs = F(td.w)
-    tail = Poly.zero(lhs.ring)
+    one = Poly.constant(lhs.ring, 1)
+    diff = dict(lhs.terms)
     for k in range(1, len(td.phi) + 1):
-        weight = ratio ** (k - 1)
-        if not weight:
+        weight = -c2 * ratio ** (k - 1) * one
+        if weight.is_zero:
             continue
-        group = Poly.zero(lhs.ring)
+        group = {}
         for U in combinations(td.phi, k):
-            group = group + F(transition_target(td, U))
-        tail = tail + weight * group
-    diff = lhs - (c1 * F(td.v) + c2 * tail)
+            _add_product(group, F(transition_target(td, U)).terms, _ONE)
+        _add_product(diff, group, weight.terms)
+    _add_product(diff, F(td.v).terms, (-c1 * one).terms)
+    diff = Poly._of(lhs.ring, diff)
     witness = {} if diff.is_zero else {"difference": diff.to_text()}
     return _report(_case_name([td.w], td.corner), statement, diff.is_zero, witness)
 

@@ -2,9 +2,9 @@
 
 Where a guarantee quantifies over a whole symmetric group the test
 enumerates the group; where it pins a specific display the expected
-bytes are frozen below.  Everything is exact integer arithmetic.  Three
-sweeps over larger inputs (c01, c04, c13) only run with
-BUMPLESS_EXTENDED=1; with them the whole file takes about 12 seconds
+bytes are frozen below.  Everything is exact integer arithmetic.  Four
+sweeps over larger inputs (c01, c04, c13, c14) only run with
+BUMPLESS_EXTENDED=1; with them the whole file takes 17 to 23 seconds
 from a cold cache (Python 3.11 on a 2-core VM).
 """
 
@@ -19,7 +19,15 @@ from bumpless import groebner as gb
 from bumpless import transition as tr
 from bumpless.monomial import MonomialIdeal
 from bumpless.rings import Poly, matrix_ring
-from bumpless.schubert import principal_value, single_schubert_poly, x_ring
+from bumpless.schubert import (
+    bpd_schubert_poly,
+    bpd_single_schubert_poly,
+    double_ring,
+    principal_value,
+    schubert_poly,
+    single_schubert_poly,
+    x_ring,
+)
 
 extended = pytest.mark.skipif(
     not os.environ.get("BUMPLESS_EXTENDED"),
@@ -274,3 +282,13 @@ def test_c13_extended_seven_strand_tiling_census():
             assert "".join(x).count(".") == length
         total += len(tilings)
     assert total == 150371
+
+
+@extended
+def test_c14_extended_tiling_sums_match_operators_s6():
+    # Both tiling sums, double and single, against the divided-difference
+    # route on every permutation of S6.
+    ds, xs = double_ring(6), x_ring(6)
+    for w in perms.all_perms(6):
+        assert bpd_schubert_poly(w, ds) == schubert_poly(w, ds), w
+        assert bpd_single_schubert_poly(w, xs) == single_schubert_poly(w, xs), w

@@ -116,13 +116,38 @@ def test_enumerate_counts_tiny():
     assert len(B.enumerate_bpds(P.identity(4))) == 1
 
 
-def test_enumeration_rejects_a_tiling_of_another_permutation(monkeypatch):
-    # A droop that left a valid tiling of 1324 behind must not be counted
-    # among the tilings of 1432.
-    other = B.rothe_bpd((1, 3, 2, 4))
-    monkeypatch.setattr(B, "_droop", lambda *move: other)
-    with pytest.raises(B.InvalidBpd, match="tiling spells 1324, not 1432"):
-        B.enumerate_bpds((1, 4, 3, 2))
+@pytest.mark.parametrize(
+    "w, grid, message",
+    [
+        # A droop that left a valid tiling of 1324 behind must not be
+        # counted among the tilings of 1432.
+        ((1, 4, 3, 2), B.rothe_bpd((1, 3, 2, 4)), "tiling spells 1324, not 1432"),
+        # Nor one whose pipes cross twice, whether they spell another
+        # word or w itself.
+        ((1, 4, 3, 2), DOUBLE_CROSSING, r"pipes \(1, 2\) cross more than once"),
+        ((1, 2, 4, 3), DOUBLE_CROSSING, r"pipes \(1, 2\) cross more than once"),
+    ],
+    ids=["another-word", "crosses-twice", "crosses-twice-spelling-w"],
+)
+def test_enumeration_rejects_a_tiling_of_another_permutation(monkeypatch, w, grid, message):
+    monkeypatch.setattr(B, "_droop", lambda *move: grid)
+    with pytest.raises(B.InvalidBpd, match=message):
+        B.enumerate_bpds(w)
+
+
+def test_enumeration_takes_the_length_of_w_a_bounded_number_of_times(monkeypatch):
+    length = P.coxeter_length
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return length(w)
+
+    monkeypatch.setattr(P, "coxeter_length", counting)
+    for w in [(1, 4, 3, 2), P.perm_from_text("153264"), P.perm_from_text("4721653")]:
+        calls.clear()
+        grids = B.enumerate_bpds(w)
+        assert len(calls) <= 2 < len(grids)
 
 
 def test_permutation_of_traces_each_grid_once(monkeypatch):

@@ -306,6 +306,21 @@ def test_verify_checks_a_family_like_main(capsys, target, words, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "words, message",
+    [
+        (["21", "21"], "permutations must be distinct"),
+        (["21", "123"], "permutations must share one matrix size"),
+    ],
+)
+def test_ycompat_checks_the_family_before_it_picks_a_cell(capsys, words, message):
+    # Neither family has an accessible cell; the family's fault comes first.
+    assert cli.main(["--workers", "1", "verify", "ycompat", *words]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_decompose_prints_only_irredundant_components(capsys):
     # (z[1,1], z[2,1]) contains the component (z[1,1]), so it is not listed.
     code, out = run(capsys, "mono", "decompose", "z[1,1]*z[2,1], z[1,1]*z[2,2]")
