@@ -5,7 +5,7 @@ The submodules split along the objects they own:
 
 - ``perms``: one-line permutations, rank functions, Rothe diagrams.
 - ``asm``: alternating sign matrices and their lattice.
-- ``bpd``: pipe tilings, droop moves, the corner surgery bijection.
+- ``bpd``: pipe tilings row by row, droop moves, the corner surgery bijection.
 - ``rings`` / ``groebner`` / ``monomial``: exact polynomial arithmetic,
   Buchberger bases over matrix variables, monomial-ideal decompositions.
 - ``schubert``: double Schubert and beta-deformed polynomials (additive

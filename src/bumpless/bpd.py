@@ -53,18 +53,6 @@ class InvalidBpd(ValueError):
     pass
 
 
-# Per edge, a table sending each glyph to "1" when it has that pipe
-# segment and to "0" when not, so one ``translate`` gives a grid's flags.
-# "#" marks the left and right boundary between rows: it has no right
-# segment, so a row's first cell must have no left one, and it has a left
-# segment, so a row's last cell must have a right one (the pipe's exit).
-_TOP, _RIGHT, _BOTTOM, _LEFT = (
-    str.maketrans({g: "01"[e[k]] for g, e in EDGES.items()} | {"#": "0001"[k]})
-    for k in range(4)
-)
-_NOT_GLYPHS = str.maketrans("", "", GLYPHS)
-
-
 def validate_bpd(grid, w: Perm | None = None) -> Bpd:
     """Full validation: glyphs, edge matching, boundary, pipe tracing,
     and the at-most-one-crossing rule for every pair of pipes; when w is
@@ -85,106 +73,64 @@ def _validated(grid) -> tuple[Bpd, Perm]:
 
 
 def _check_edges(rows: Bpd) -> None:
-    """Raise unless the grid is square, every glyph is known and every
-    edge and boundary matches."""
+    """Raise at the first fault: a grid that is not square, then an
+    unknown glyph, then the edge checks, cells in row-major order and in
+    each cell the checks in a fixed order."""
     n = len(rows)
     if set(map(len, rows)) != {n}:
         raise InvalidBpd("grid is not square")
-    cells = "".join(rows)
-    stray = cells.translate(_NOT_GLYPHS)
-    if stray:
-        raise InvalidBpd(f"unknown tile glyph {stray[0]!r}")
-    # Each cell's bottom flag against the top flag n cells on, with no
-    # pipe above row 1 and every pipe entering below row n; each right
-    # flag against the next left flag along the "#"-bounded rows.
-    bounded = "#" + "#".join(rows) + "#"
-    if (
-        "0" * n + cells.translate(_BOTTOM) != cells.translate(_TOP) + "1" * n
-        or bounded.translate(_RIGHT)[:-1] != bounded.translate(_LEFT)[1:]
-    ):
-        raise InvalidBpd(_edge_fault(rows))
-
-
-def _edge_fault(rows: Bpd) -> str:
-    """The first failing edge check: cells in row-major order, and in each
-    cell the checks in a fixed order."""
-    n = len(rows)
+    for g in "".join(rows):
+        if g not in EDGES:
+            raise InvalidBpd(f"unknown tile glyph {g!r}")
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             top, right, bottom, left = EDGES[rows[i - 1][j - 1]]
             if i == 1 and top:
-                return f"pipe leaks through the top boundary at column {j}"
-            if j == 1 and left:
-                return f"pipe leaks through the left boundary at row {i}"
-            if i == n and not bottom:
-                return f"missing pipe entry at bottom of column {j}"
-            if j == n and not right:
-                return f"missing pipe exit at right of row {i}"
-            if i < n and bottom != EDGES[rows[i][j - 1]][0]:
-                return f"edge mismatch between ({i},{j}) and ({i + 1},{j})"
-            if j < n and right != EDGES[rows[i - 1][j]][3]:
-                return f"edge mismatch between ({i},{j}) and ({i},{j + 1})"
-    raise AssertionError("grid passed every edge check")
+                fault = f"pipe leaks through the top boundary at column {j}"
+            elif j == 1 and left:
+                fault = f"pipe leaks through the left boundary at row {i}"
+            elif i == n and not bottom:
+                fault = f"missing pipe entry at bottom of column {j}"
+            elif j == n and not right:
+                fault = f"missing pipe exit at right of row {i}"
+            elif i < n and bottom != EDGES[rows[i][j - 1]][0]:
+                fault = f"edge mismatch between ({i},{j}) and ({i + 1},{j})"
+            elif j < n and right != EDGES[rows[i - 1][j]][3]:
+                fault = f"edge mismatch between ({i},{j}) and ({i},{j + 1})"
+            else:
+                continue
+            raise InvalidBpd(fault)
 
 
 def _trace(rows: Bpd) -> Perm:
     """The permutation of an edge-consistent grid; raise if two pipes
     cross more than once.
 
-    Two pipes cross an odd number of times exactly when they form an
-    inversion, so there is no repeated crossing exactly when the grid
-    has as many crossings as the permutation has inversions."""
-    word = _pipes(rows)
-    if "".join(rows).count("+") != perms.coxeter_length(word):
-        raise InvalidBpd(f"pipes {_repeated_crossing(rows)} cross more than once")
-    return word
-
-
-def _pipes(rows: Bpd) -> Perm:
-    """The permutation an edge-consistent grid's pipes spell, with no
-    check of its crossings.
-
     One sweep, bottom row first, carries the pipe entering each column
-    from below.  Edge consistency makes each row's elbows read L, J, L,
-    ..., J, L from left to right: an up-elbow takes the pipe of the
-    down-elbow before it, and the last down-elbow's pipe exits the row."""
-    n = len(rows)
-    up = list(range(1, n + 1))
-    word = [0] * n
-    for i in range(n - 1, -1, -1):
-        r = rows[i]
-        j = r.find("L")
-        k = r.find("J", j)
-        while k >= 0:
-            up[k], up[j] = up[j], 0
-            j = r.find("L", k)
-            k = r.find("J", j)
-        word[i], up[j] = up[j], 0
-    return tuple(word)
-
-
-def _repeated_crossing(rows: Bpd) -> tuple[int, int]:
-    """The first pair of pipes met twice, taking the crossings pipe by
-    pipe (by the pipe passing vertically), each in path order."""
-    n = len(rows)
-    up = list(range(1, n + 1))
+    from below and the pipe running along the row, and notes each
+    crossing.  The first pair met twice is reported, taking the
+    crossings pipe by pipe (by the pipe passing vertically), each in
+    path order."""
+    up = list(range(1, len(rows) + 1))
+    word = []
     crossings = []
-    for i in range(n - 1, -1, -1):
+    for r in reversed(rows):
         h = 0
-        for j, t in enumerate(rows[i]):
+        for j, t in enumerate(r):
             if t == "+":
                 crossings.append((up[j], h))
             elif t == "L":
                 h, up[j] = up[j], 0
             elif t == "J":
                 up[j], h = h, 0
+        word.append(h)
     seen = set()
     for v, h in sorted(crossings, key=itemgetter(0)):
         pair = (min(v, h), max(v, h))
         if pair in seen:
-            return pair
+            raise InvalidBpd(f"pipes {pair} cross more than once")
         seen.add(pair)
-    raise AssertionError("no pair of pipes crosses twice")
+    return tuple(reversed(word))
 
 
 def permutation_of(B: Bpd) -> Perm:
@@ -222,66 +168,38 @@ def rothe_bpd(w: Perm) -> Bpd:
     return validate_bpd(rows, w)
 
 
-# Elbows become "E" and blanks stay ".", so a droop scan finds both with
-# ``str.find`` on one string per row.
-_ELBOW_MARKS = str.maketrans("-|+LJ", "xxxEE")
+def _other_elbow(B: Bpd, move: DroopMove) -> Cell | None:
+    """The first elbow of either kind, other than the source, in the
+    rectangle a droop spans."""
+    (i, j), (a, b) = move
+    for x in range(i, a + 1):
+        for y in range(j, b + 1):
+            if (x, y) != (i, j) and B[x - 1][y - 1] in "LJ":
+                return x, y
+    return None
+
+
+def legal_droops(B: Bpd) -> set[DroopMove]:
+    """All (down-elbow, blank) pairs, the blank strictly southeast of the
+    elbow, whose spanning rectangle contains no other elbow of either
+    kind."""
+    n = len(B)
+    return {
+        ((i, j), (a, b))
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if B[i - 1][j - 1] == "L"
+        for a in range(i + 1, n + 1)
+        for b in range(j + 1, n + 1)
+        if B[a - 1][b - 1] == "." and _other_elbow(B, ((i, j), (a, b))) is None
+    }
+
+
 # A droop swaps "-" with "." and "+" with "|" along the source and target
 # rows between the two columns, and "|" with "." and "+" with "-" down the
 # source and target columns between the two rows.
 _ROW_SWAP = str.maketrans("-.+|", ".-|+")
 _COL_SWAP = str.maketrans("|.+-", ".|-+")
-
-
-def _droops(B: Bpd):
-    """Every legal droop as 0-based (i, j, a, b).
-
-    From a down-elbow at (i, j) the scan goes down the rows below it,
-    keeping the first column right of j that holds an elbow in any row
-    from i down; blanks left of that bound are targets.  It stops at the
-    first row with an elbow in column j, or once the bound is column
-    j + 1, which leaves no column for a target."""
-    n = len(B)
-    marks = [r.translate(_ELBOW_MARKS) for r in B]
-    for i, row in enumerate(B):
-        j = row.find("L")
-        while j >= 0:
-            bound = marks[i].find("E", j + 1)
-            if bound < 0:
-                bound = n
-            for a in range(i + 1, n):
-                m = marks[a]
-                if bound == j + 1 or m[j] == "E":
-                    break
-                e = m.find("E", j + 1, bound)
-                if e >= 0:
-                    bound = e
-                b = m.find(".", j + 1, bound)
-                while b >= 0:
-                    yield i, j, a, b
-                    b = m.find(".", b + 1, bound)
-            j = row.find("L", j + 1)
-
-
-def _droop(B: Bpd, i: int, j: int, a: int, b: int) -> Bpd:
-    """The grid after the legal droop (i, j) -> (a, b), 0-based."""
-    rows = list(B)
-    r = B[i]
-    rows[i] = r[:j] + "." + r[j + 1 : b].translate(_ROW_SWAP) + "L" + r[b + 1 :]
-    for x in range(i + 1, a):
-        r = B[x]
-        rows[x] = (
-            r[:j] + r[j].translate(_COL_SWAP) + r[j + 1 : b]
-            + r[b].translate(_COL_SWAP) + r[b + 1 :]
-        )
-    r = B[a]
-    rows[a] = r[:j] + "L" + r[j + 1 : b].translate(_ROW_SWAP) + "J" + r[b + 1 :]
-    return tuple(rows)
-
-
-def legal_droops(B: Bpd) -> set[DroopMove]:
-    """All (down-elbow, blank) pairs whose spanning rectangle contains no
-    other elbow of either kind."""
-    return {((i + 1, j + 1), (a + 1, b + 1)) for i, j, a, b in _droops(B)}
 
 
 def apply_droop(B: Bpd, move: DroopMove) -> Bpd:
@@ -294,38 +212,86 @@ def apply_droop(B: Bpd, move: DroopMove) -> Bpd:
         raise ValueError(f"source {(i, j)} is not a down-elbow")
     if B[a - 1][b - 1] != ".":
         raise ValueError(f"target {(a, b)} is not blank")
-    for x in range(i, a + 1):
-        for y in range(j, b + 1):
-            if (x, y) != (i, j) and B[x - 1][y - 1] in "LJ":
-                raise ValueError(f"rectangle contains another elbow at {(x, y)}")
-    return validate_bpd(_droop(B, i - 1, j - 1, a - 1, b - 1))
+    elbow = _other_elbow(B, move)
+    if elbow is not None:
+        raise ValueError(f"rectangle contains another elbow at {elbow}")
+    rows = list(B)
+    r = B[i - 1]
+    rows[i - 1] = r[: j - 1] + "." + r[j : b - 1].translate(_ROW_SWAP) + "L" + r[b:]
+    for x in range(i, a - 1):
+        r = B[x]
+        rows[x] = (
+            r[: j - 1] + r[j - 1].translate(_COL_SWAP) + r[j : b - 1]
+            + r[b - 1].translate(_COL_SWAP) + r[b:]
+        )
+    r = B[a - 1]
+    rows[a - 1] = r[: j - 1] + "L" + r[j : b - 1].translate(_ROW_SWAP) + "J" + r[b:]
+    return validate_bpd(rows)
+
+
+def _row_options(below: tuple[int, ...], target: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Every way to tile one row over the pipe labels entering it from
+    below (0 for none), with the pipe ``target`` leaving through its right
+    end: each as its glyphs and the labels it passes up.
+
+    A scan runs left to right carrying h, the pipe on the row's
+    horizontal edge, from h = 0.  A pipe v from below meets h = 0 as "|"
+    or "L", and meets h != 0 only as "+", and only when h < v: before two
+    pipes first meet, the horizontal one lies northwest of the vertical
+    one, so it entered left of it and has the smaller label, and a second
+    meeting would have the larger label horizontal.  With no pipe from
+    below, h = 0 gives "." and h != 0 gives "-" or "J".  The scan must
+    end with h = target, so ``target`` turns at its own column, reached
+    with h = 0, and runs straight on to the right boundary."""
+    c = below.index(target)
+    right = below[c + 1 :]
+    if any(0 < v < target for v in right):
+        return []
+    scans = [("", 0, ())]
+    for v in below[:c]:
+        step = []
+        for glyphs, h, up in scans:
+            if v and not h:
+                step.append((glyphs + "|", 0, up + (v,)))
+                step.append((glyphs + "L", v, up + (0,)))
+            elif v:
+                if h < v:
+                    step.append((glyphs + "+", h, up + (v,)))
+            elif h:
+                step.append((glyphs + "-", h, up + (0,)))
+                step.append((glyphs + "J", 0, up + (h,)))
+            else:
+                step.append((glyphs + ".", 0, up + (0,)))
+        scans = step
+    tail = "L" + "".join("+" if v else "-" for v in right)
+    return [(glyphs + tail, up + (0,) + right) for glyphs, h, up in scans if not h]
 
 
 def enumerate_bpds(w: Perm) -> frozenset[Bpd]:
-    """Closure of the Rothe element under droop moves.
+    """Every bumpless pipe dream of w, built row by row from the bottom.
 
-    Each tiling is validated once, when it is first reached: its glyphs
-    and edges, then that its pipes spell w through exactly l(w)
-    crossings, which for a tiling of w is ``_trace``'s test for a
-    repeated crossing.  l(w) is computed once per call.  A tiling that
-    fails goes through ``validate_bpd``, which raises the first fault
-    in its own order of checks."""
-    w = tuple(w)  # a tuple, to compare with each tiling's word; rothe_bpd validates it
-    start = rothe_bpd(w)
-    length = perms.coxeter_length(w)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        B = frontier.pop()
-        for move in _droops(B):
-            nxt = _droop(B, *move)
-            if nxt not in seen:
-                _check_edges(nxt)
-                if _pipes(nxt) != w or "".join(nxt).count("+") != length:
-                    validate_bpd(nxt, w)
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
+    The state between two rows is the label of the pipe on each column's
+    vertical edge; below row n it is 1, ..., n.  Each row is one of its
+    ``_row_options`` for w(i), so every tiling is edge-consistent, has no
+    two pipes crossing twice, and spells w by construction.  The tilings
+    of rows 1..i over a state are kept for the length of one call."""
+    w = perms.validate_perm(w)
+    memo = {}
+
+    def tilings(i: int, below: tuple[int, ...]) -> list[Bpd]:
+        if i == 0:
+            return [()]
+        key = (i, below)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = [
+                upper + (row,)
+                for row, up in _row_options(below, w[i - 1])
+                for upper in tilings(i - 1, up)
+            ]
+        return found
+
+    return frozenset(tilings(len(w), tuple(range(1, len(w) + 1))))
 
 
 def transition_bijection(B: Bpd, corner: Cell) -> Bpd:

@@ -3,7 +3,7 @@
 Each family is named once, by a tag in ``_FAMILIES`` giving its cell
 factor and its step operator.  The operator route multiplies the factor
 over the staircase cells i + j <= n and steps down once per ascent; the
-tiling route multiplies it over the blank cells of each droop tiling and
+tiling route multiplies it over the blank cells of each tiling and
 adds every tiling's weight into one term map.  A one-term factor, such as
 the single family's x_i, folds into one packed shift and one coefficient,
 so the single staircase and each single tiling weight are one monomial.
@@ -193,7 +193,7 @@ def single_schubert_poly(w: Perm, ring: Ring) -> Poly:
 
 
 def bpd_schubert_poly(w: Perm, ring: Ring) -> Poly:
-    """Double polynomial as a sum over the droop tilings of w: each tiling
+    """Double polynomial as a sum over the tilings of w: each tiling
     contributes the product of (x_i + y_j) over its blank cells."""
     return _tiling_sum(w, ring, "S")
 

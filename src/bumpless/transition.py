@@ -1,7 +1,7 @@
 """Corner recurrences and the degeneration test harness.
 
 Everything here verifies, by exact computation, that unions of matrix
-Schubert varieties degenerate the way their droop tilings predict:
+Schubert varieties degenerate the way their tilings predict:
 splitting a Groebner basis at a corner cell, matching minimal primes
 of initial ideals against tiling diagrams, and checking the polynomial
 recurrences those degenerations induce.  Each verifier returns a
@@ -297,7 +297,7 @@ def verify_tau_formula(w, corner: Cell) -> dict:
 
 def verify_main_theorem(ws, order: str = "diag") -> dict:
     """Minimal primes of the diagonal initial ideal of an intersection,
-    counted with multiplicity, against the multiset of droop-tiling
+    counted with multiplicity, against the multiset of tiling
     diagrams of the same permutations."""
     ws, n = _family(ws)
     lengths = {perms.coxeter_length(w) for w in ws}
@@ -331,7 +331,7 @@ def verify_main_theorem(ws, order: str = "diag") -> dict:
 def verify_theorem_B(w) -> dict:
     """Antidiagonal degeneration: the defining minors are already a
     basis, the initial ideal is radical, and its facets count and weigh
-    like the droop tilings.  J is the ideal of the minors' leads, which
+    like the tilings.  J is the ideal of the minors' leads, which
     is the initial ideal once the minors are certified a basis; if they
     are not, the case fails on that."""
     w = perms.validate_perm(w)

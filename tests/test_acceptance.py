@@ -2,15 +2,17 @@
 
 Where a guarantee quantifies over a whole symmetric group the test
 enumerates the group; where it pins a specific display the expected
-bytes are frozen below.  Everything is exact integer arithmetic.  Four
-sweeps over larger inputs (c01, c04, c13, c14) only run with
-BUMPLESS_EXTENDED=1; with them the whole file takes 17 to 23 seconds
+bytes are frozen below.  Everything is exact integer arithmetic.  Five
+sweeps over larger inputs (c01, c04, c13, c14, c15) only run with
+BUMPLESS_EXTENDED=1; with them the whole file takes 13 to 14 seconds
 from a cold cache (Python 3.11 on a 2-core VM).
 """
 
+import hashlib
 import os
 from collections import Counter
 from itertools import combinations
+from time import perf_counter
 
 import pytest
 
@@ -292,3 +294,26 @@ def test_c14_extended_tiling_sums_match_operators_s6():
     for w in perms.all_perms(6):
         assert bpd_schubert_poly(w, ds) == schubert_poly(w, ds), w
         assert bpd_single_schubert_poly(w, xs) == single_schubert_poly(w, xs), w
+
+
+@extended
+def test_c15_extended_frozen_tiling_digest_s1_to_s7():
+    # A SHA-256 over every word of S1 to S7 and its sorted tilings, frozen
+    # from the droop closure that the row search replaced.
+    digest = hashlib.sha256()
+    total = 0
+    seconds = {}
+    for n in range(1, 8):
+        start = perf_counter()
+        found = [(w, bpd.enumerate_bpds(w)) for w in perms.all_perms(n)]
+        seconds[n] = perf_counter() - start
+        for w, tilings in found:
+            digest.update((perms.perm_to_text(w) + "\n").encode())
+            for x in sorted(tilings):
+                digest.update(("/".join(x) + "\n").encode())
+            total += len(tilings)
+    assert total == 156895
+    assert digest.hexdigest() == (
+        "dfee5e1c8a89f6966effce5432ab368812b2c12adf7975caf5b2dc9dd385c512"
+    )
+    assert seconds[7] < 1.5, f"all tilings of S7 took {seconds[7]:.2f} s"

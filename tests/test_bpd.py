@@ -1,7 +1,11 @@
+import os
+
 import pytest
 
 from bumpless import bpd as B
 from bumpless import perms as P
+
+EXTENDED = bool(os.environ.get("BUMPLESS_EXTENDED"))
 
 ROTHE_4721653 = (
     "...L---",
@@ -116,23 +120,24 @@ def test_enumerate_counts_tiny():
     assert len(B.enumerate_bpds(P.identity(4))) == 1
 
 
-@pytest.mark.parametrize(
-    "w, grid, message",
-    [
-        # A droop that left a valid tiling of 1324 behind must not be
-        # counted among the tilings of 1432.
-        ((1, 4, 3, 2), B.rothe_bpd((1, 3, 2, 4)), "tiling spells 1324, not 1432"),
-        # Nor one whose pipes cross twice, whether they spell another
-        # word or w itself.
-        ((1, 4, 3, 2), DOUBLE_CROSSING, r"pipes \(1, 2\) cross more than once"),
-        ((1, 2, 4, 3), DOUBLE_CROSSING, r"pipes \(1, 2\) cross more than once"),
-    ],
-    ids=["another-word", "crosses-twice", "crosses-twice-spelling-w"],
-)
-def test_enumeration_rejects_a_tiling_of_another_permutation(monkeypatch, w, grid, message):
-    monkeypatch.setattr(B, "_droop", lambda *move: grid)
-    with pytest.raises(B.InvalidBpd, match=message):
-        B.enumerate_bpds(w)
+def test_every_tiling_is_valid_and_spells_its_word():
+    for n in range(1, 8 if EXTENDED else 7):
+        for w in P.all_perms(n):
+            for x in B.enumerate_bpds(w):
+                assert B.validate_bpd(x, w) == x
+
+
+@pytest.mark.parametrize("word", [(1, 1), (2, 3), (0, 1)])
+def test_enumeration_checks_its_word_like_validate_perm(word):
+    with pytest.raises(ValueError) as expected:
+        P.validate_perm(word)
+    with pytest.raises(ValueError) as got:
+        B.enumerate_bpds(word)
+    assert str(got.value) == str(expected.value)
+
+
+def test_the_empty_word_has_the_empty_tiling():
+    assert B.enumerate_bpds(()) == frozenset({()})
 
 
 def test_enumeration_takes_the_length_of_w_a_bounded_number_of_times(monkeypatch):
@@ -200,7 +205,8 @@ def test_droops_preserve_permutation_s4():
                 assert B.permutation_of(y) == w
 
 
-def test_enumeration_is_traversal_order_independent():
+def test_row_search_equals_the_droop_closure_oracle_s6():
+    # The closure of the Rothe tiling under droop moves, breadth first.
     def bfs(w):
         start = B.rothe_bpd(w)
         seen = {start}
@@ -216,7 +222,7 @@ def test_enumeration_is_traversal_order_independent():
                     queue.append(nxt)
         return frozenset(seen)
 
-    for w in P.all_perms(5):
+    for w in P.all_perms(6):
         assert bfs(w) == B.enumerate_bpds(w)
 
 
