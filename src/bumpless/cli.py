@@ -1,7 +1,8 @@
 """Command-line surface: enumeration, polynomials, ideals, lattice queries,
 and the verification harness, with text or JSON output.
 
-Exit codes: 0 success, 1 at least one verification case failed, 2 bad input.
+Exit codes: 0 success, 1 at least one verification case failed, 2 bad input
+or out of memory.
 
 ``main`` builds the argument parser once per process and reuses it on
 every call; a call changes neither the parser nor the environment.  The
@@ -23,7 +24,7 @@ from . import perms
 from . import transition as tr
 from .groebner import asm_generators, buchberger, initial_ideal
 from .monomial import MonomialIdeal, grading_images, prime_names
-from .rings import Ring, matrix_ring, parse_cell, parse_poly
+from .rings import _READING_KEYS, _cell_ring, matrix_ring, parse_cell, parse_poly
 from .schubert import (
     double_ring,
     grothendieck_poly,
@@ -51,11 +52,8 @@ def _monomial_ideal(text: str):
     found = re.findall(r"z\[(\d+),(\d+)\]", text)
     if not found:
         raise ValueError("no z[i,j] variables found in the ideal text")
-    cells = sorted({(int(i), int(j)) for i, j in found if int(i) and int(j)})
-    ring = Ring(
-        (f"z[{i},{j}]" for i, j in cells),
-        sorted(range(len(cells)), key=lambda v: (cells[v][0], -cells[v][1])),
-    )
+    cells = {(int(i), int(j)) for i, j in found if int(i) and int(j)}
+    ring = _cell_ring(cells, _READING_KEYS["antidiag"])
     pieces = re.split(r",(?![^\[]*\])", text)
     return MonomialIdeal.from_polys(
         [parse_poly(ring, p) for p in pieces if p.strip()]
@@ -317,6 +315,9 @@ def main(argv=None) -> int:
         return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -29,7 +29,7 @@ from math import gcd as _int_gcd
 
 from . import asm as asm_mod
 from . import cache as cache_mod
-from .rings import Poly, Ring, _primitive, matrix_names
+from .rings import Poly, Ring, _add_product, _primitive, matrix_names
 
 
 def minor(ring: Ring, rows, cols) -> Poly:
@@ -167,13 +167,7 @@ def _spoly(ring: Ring, gi, gj, lmi, lmj) -> dict[int, int]:
     ui = u - lmi
     uj = u - lmj
     out = {m + ui: c * ai for m, c in gi.items()}
-    for m, c in gj.items():
-        key = m + uj
-        nv = out.get(key, 0) - c * aj
-        if nv:
-            out[key] = nv
-        elif key in out:
-            del out[key]
+    _add_product(out, gj, {uj: -aj})
     return out
 
 

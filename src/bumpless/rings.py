@@ -13,11 +13,14 @@ A ring keeps one shift per variable, where its slot starts, and its
 masks over all slots are repeated byte patterns, so its state and build
 time are linear in its variables.
 
-A layout is a permutation of the variables, one slot each.  An order
-that compares one variable first and then falls back to a base order
-moves that variable's slot to the top of the base layout
-(``refined_by_cell``).  Exponents must stay below 2**15; nothing in
-this package gets anywhere near that.
+A layout is a permutation of the variables, one slot each.  A ring on
+matrix cells lays its slots out in the order a term order reads the
+cells: ``diag`` reads the rows top to bottom, each left to right;
+``antidiag`` the rows top to bottom, each right to left; ``col-lex``
+the columns left to right, each top to bottom.  ``yref:a,b:BASE`` reads
+cell (a, b) first and the rest as BASE does, so it compares that cell's
+degree first and breaks ties by BASE.  Exponents must stay below 2**15;
+nothing in this package gets anywhere near that.
 """
 
 from __future__ import annotations
@@ -151,63 +154,33 @@ def matrix_names(n):
     return tuple(f"z[{i},{j}]" for i in range(1, n + 1) for j in range(1, n + 1))
 
 
-def _cell_slot(n, i, j):
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"cell ({i}, {j}) outside a {n} by {n} grid")
-    return (i - 1) * n + (j - 1)
-
-
-def diagonal_layout(n):
-    """Lex order reading the matrix row by row, left to right."""
-    return tuple(range(n * n))
-
-
-def antidiagonal_layout(n):
-    """Lex order reading each row right to left, rows top to bottom."""
-    out = []
-    for i in range(n):
-        out.extend(range(i * n + n - 1, i * n - 1, -1))
-    return tuple(out)
-
-
-def column_layout(n):
-    """Lex order reading the matrix column by column, top to bottom."""
-    return tuple(j + n * i for j in range(n) for i in range(n))
-
-
-def refined_by_cell(n, cell, base_layout):
-    """Compare a chosen cell's degree first, break ties by the base order.
-
-    The cell's slot comes first and the base's other slots follow in
-    their order.  Once the cell's exponents tie, the base order compares
-    the rest, so this is the base order refined by the cell's degree;
-    over the antidiagonal base it is the corner-first order of the link
-    decomposition."""
-    v = _cell_slot(n, *cell)
-    return (v,) + tuple(k for k in base_layout if k != v)
-
-
-_BASE_LAYOUTS = {
-    "diag": diagonal_layout,
-    "antidiag": antidiagonal_layout,
-    "col-lex": column_layout,
+# Every order on the matrix's cells is a lex order, fixed by the order
+# in which it reads the cells: a sort key on (row, column).
+_READING_KEYS = {
+    "diag": lambda cell: cell,
+    "antidiag": lambda cell: (cell[0], -cell[1]),
+    "col-lex": lambda cell: (cell[1], cell[0]),
 }
 
 
-def layout_from_spec(n, spec):
-    """Parse an order name: diag, antidiag, col-lex, or yref:a,b:BASE
-    with BASE one of the first three."""
-    if spec in _BASE_LAYOUTS:
-        return _BASE_LAYOUTS[spec](n)
-    if spec.startswith("yref:"):
-        cell_part, sep, base = spec[5:].partition(":")
-        if not sep:
-            raise ValueError(f"order {spec!r} is missing its base order")
-        cell = parse_cell(cell_part)
-        if base not in _BASE_LAYOUTS:
-            raise ValueError(f"a yref base must be diag, antidiag or col-lex, not {base!r}")
-        return refined_by_cell(n, cell, _BASE_LAYOUTS[base](n))
-    raise ValueError(f"unknown order {spec!r}")
+def _reading_key(n, spec):
+    """Sort key on the cells of an n by n matrix for an order name: diag,
+    antidiag, col-lex, or yref:a,b:BASE with BASE one of the first three,
+    which reads cell (a, b) first and the rest as BASE does."""
+    if spec in _READING_KEYS:
+        return _READING_KEYS[spec]
+    if not spec.startswith("yref:"):
+        raise ValueError(f"unknown order {spec!r}")
+    cell_part, sep, base = spec[5:].partition(":")
+    if not sep:
+        raise ValueError(f"order {spec!r} is missing its base order")
+    first = parse_cell(cell_part)
+    if base not in _READING_KEYS:
+        raise ValueError(f"a yref base must be diag, antidiag or col-lex, not {base!r}")
+    if not (1 <= first[0] <= n and 1 <= first[1] <= n):
+        raise ValueError(f"cell {first} outside a {n} by {n} grid")
+    key = _READING_KEYS[base]
+    return lambda cell: (cell != first, key(cell))
 
 
 def parse_cell(text):
@@ -218,9 +191,20 @@ def parse_cell(text):
     return int(m.group(1)), int(m.group(2))
 
 
+def _cell_ring(cells, key):
+    """Ring on the variables z[i,j] of the given cells, named in row-major
+    order, with its slots in the order ``key`` reads the cells."""
+    cells = sorted(cells)
+    return Ring(
+        (f"z[{i},{j}]" for i, j in cells),
+        sorted(range(len(cells)), key=lambda v: key(cells[v])),
+    )
+
+
 def matrix_ring(n, spec="antidiag"):
     """Ring on the n by n generic matrix under a named order."""
-    return Ring(matrix_names(n), layout_from_spec(n, spec))
+    every = range(1, n + 1)
+    return _cell_ring([(i, j) for i in every for j in every], _reading_key(n, spec))
 
 
 def lex_ring(names):
@@ -306,12 +290,7 @@ class Poly:
         if other is None:
             return NotImplemented
         acc = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = acc.get(m, 0) + c
-            if nc:
-                acc[m] = nc
-            else:
-                del acc[m]
+        _add_product(acc, other.terms, _ONE)
         return Poly._of(self.ring, acc)
 
     __radd__ = __add__
@@ -324,12 +303,7 @@ class Poly:
         if other is None:
             return NotImplemented
         acc = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = acc.get(m, 0) - c
-            if nc:
-                acc[m] = nc
-            else:
-                del acc[m]
+        _add_product(acc, other.terms, {0: -1})
         return Poly._of(self.ring, acc)
 
     def __rsub__(self, other):

@@ -140,19 +140,24 @@ def test_the_empty_word_has_the_empty_tiling():
     assert B.enumerate_bpds(()) == frozenset({()})
 
 
-def test_enumeration_takes_the_length_of_w_a_bounded_number_of_times(monkeypatch):
-    length = P.coxeter_length
+def test_row_search_runs_no_per_tiling_checks(monkeypatch):
+    """The row search builds only valid tilings of w, so it neither takes
+    a length nor validates a finished tiling."""
     calls = []
 
-    def counting(w):
-        calls.append(w)
-        return length(w)
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
 
-    monkeypatch.setattr(P, "coxeter_length", counting)
+        return wrapped
+
+    monkeypatch.setattr(P, "coxeter_length", counting(P.coxeter_length))
+    monkeypatch.setattr(B, "validate_bpd", counting(B.validate_bpd))
     for w in [(1, 4, 3, 2), P.perm_from_text("153264"), P.perm_from_text("4721653")]:
         calls.clear()
         grids = B.enumerate_bpds(w)
-        assert len(calls) <= 2 < len(grids)
+        assert calls == [] and 2 < len(grids)
 
 
 def test_permutation_of_traces_each_grid_once(monkeypatch):

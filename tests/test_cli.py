@@ -84,6 +84,17 @@ def test_bad_input_exits_two(capsys):
     assert run(capsys, "mono", "ass", "q^2")[0] == 2
 
 
+def test_out_of_memory_exits_two(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_poly", exhausted)
+    assert cli.main(["poly", "dschubert", "12345687"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 def test_deeply_nested_polynomial_is_a_usage_error(capsys):
     text = "(" * 400 + "z[1,1]" + ")" * 400
     assert cli.main(["mono", "decompose", text]) == 2
@@ -130,6 +141,12 @@ def test_high_power_multidegree_does_not_recurse(capsys):
 def test_mono_reads_only_the_cells_it_names(action, expected, capsys):
     # A 100000 by 100000 matrix ring would not fit in memory.
     assert run(capsys, "mono", action, "z[100000,1]") == (0, expected)
+
+
+def test_mono_ring_reads_its_cells_right_to_left_row_by_row():
+    ring = cli._monomial_ideal("z[3,1]*z[1,2], z[2,2], z[1,3]*z[3,3]").ring
+    assert ring.names == ("z[1,2]", "z[1,3]", "z[2,2]", "z[3,1]", "z[3,3]")
+    assert ring.layout == (1, 0, 2, 4, 3)
 
 
 @pytest.mark.parametrize(

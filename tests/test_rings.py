@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 from fractions import Fraction
 
@@ -9,21 +10,17 @@ from bumpless.rings import (
     SLOT_CAP,
     Poly,
     Ring,
-    antidiagonal_layout,
-    column_layout,
-    diagonal_layout,
     exact_divide,
-    layout_from_spec,
     lex_ring,
     matrix_names,
     matrix_ring,
     parse_poly,
-    refined_by_cell,
 )
 
 R_DIAG = matrix_ring(3, "diag")
 R_ANTI = matrix_ring(3, "antidiag")
-R_REFINED = Ring(matrix_names(3), refined_by_cell(3, (2, 2), diagonal_layout(3)))
+R_REFINED = matrix_ring(3, "yref:2,2:diag")
+BASES = ("diag", "antidiag", "col-lex")
 
 exps3 = st.lists(st.integers(min_value=0, max_value=5), min_size=9, max_size=9)
 
@@ -36,51 +33,69 @@ def det2(ring):
     return zvar(ring, 1, 1) * zvar(ring, 2, 2) - zvar(ring, 1, 2) * zvar(ring, 2, 1)
 
 
-def test_layout_constructors_are_permutations():
-    assert sorted(diagonal_layout(3)) == list(range(9))
-    assert sorted(antidiagonal_layout(3)) == list(range(9))
-    assert sorted(column_layout(3)) == list(range(9))
-    assert antidiagonal_layout(2) == (1, 0, 3, 2)
-    assert column_layout(2) == (0, 2, 1, 3)
-    assert refined_by_cell(2, (2, 1), antidiagonal_layout(2)) == (2, 1, 0, 3)
-    assert refined_by_cell(2, (1, 1), (0, 1, 2, 3)) == (0, 1, 2, 3)
-    assert refined_by_cell(2, (2, 2), column_layout(2)) == (3, 0, 2, 1)
+def test_layouts_read_the_cells_in_order():
+    for base in BASES:
+        assert sorted(matrix_ring(3, base).layout) == list(range(9))
+    assert matrix_ring(3, "diag").layout == tuple(range(9))
+    assert matrix_ring(2, "antidiag").layout == (1, 0, 3, 2)
+    assert matrix_ring(2, "col-lex").layout == (0, 2, 1, 3)
+    assert matrix_ring(2, "yref:2,1:antidiag").layout == (2, 1, 0, 3)
+    assert matrix_ring(2, "yref:1,1:diag").layout == (0, 1, 2, 3)
+    assert matrix_ring(2, "yref:2,2:col-lex").layout == (3, 0, 2, 1)
+    assert matrix_ring(3, "yref:2,2:antidiag").layout == (4, 2, 1, 0, 5, 3, 8, 7, 6)
 
 
-def test_layout_from_spec_matches_constructors():
-    assert layout_from_spec(3, "diag") == diagonal_layout(3)
-    assert layout_from_spec(3, "antidiag") == antidiagonal_layout(3)
-    assert layout_from_spec(3, "col-lex") == column_layout(3)
-    assert layout_from_spec(3, "yref:2,2:antidiag") == refined_by_cell(
-        3, (2, 2), antidiagonal_layout(3)
-    )
+def test_order_names_are_checked():
     with pytest.raises(ValueError):
-        layout_from_spec(3, "grevlex")
+        matrix_ring(3, "grevlex")
     with pytest.raises(ValueError, match="unknown order 'tau:2,2'"):
-        layout_from_spec(3, "tau:2,2")
-    with pytest.raises(ValueError):
-        layout_from_spec(3, "yref:2,2")
+        matrix_ring(3, "tau:2,2")
+    with pytest.raises(ValueError, match="missing its base order"):
+        matrix_ring(3, "yref:2,2")
+    with pytest.raises(ValueError, match="expected a cell like 3,2"):
+        matrix_ring(3, "yref:2;2:bogus")
+    with pytest.raises(ValueError, match=r"cell \(3, 3\) outside a 2 by 2 grid"):
+        matrix_ring(2, "yref:3,3:diag")
+    with pytest.raises(ValueError, match=r"cell \(0, 1\) outside a 2 by 2 grid"):
+        matrix_ring(2, "yref:0,1:diag")
 
 
 @pytest.mark.parametrize("base", ["tau:2,2", "yref:1,1:diag", "grevlex", ""])
 def test_yref_base_is_one_of_the_three_plain_orders(base):
     with pytest.raises(ValueError, match="yref base must be diag, antidiag or col-lex"):
-        layout_from_spec(3, f"yref:2,2:{base}")
+        matrix_ring(3, f"yref:2,2:{base}")
+    with pytest.raises(ValueError, match="yref base must be"):
+        matrix_ring(2, f"yref:3,3:{base}")
 
 
 def test_deeply_nested_yref_is_rejected_without_recursing():
     with pytest.raises(ValueError, match="yref base must be"):
-        layout_from_spec(3, "yref:1,1:" * 3000 + "diag")
+        matrix_ring(3, "yref:1,1:" * 3000 + "diag")
+
+
+def test_every_small_matrix_ring_keeps_its_names_and_layout():
+    """Every order name at every size up to 7 builds the ring it always
+    has: the names and layouts of all 441 rings, hashed in one digest."""
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 8):
+        cells = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+        specs = list(BASES) + [f"yref:{a},{b}:{base}" for a, b in cells for base in BASES]
+        for spec in specs:
+            R = matrix_ring(n, spec)
+            digest.update(f"{n} {spec} {R.names} {R.layout}\n".encode())
+            count += 1
+    assert count == 441
+    assert digest.hexdigest() == (
+        "21613041585ac1301d48d8a558eac5537d0f1aa85d7c78ef66d0483909f4bc43"
+    )
 
 
 def test_ring_rejects_a_repeated_slot():
     with pytest.raises(ValueError, match="layout must be a permutation"):
         Ring(("a", "b"), (0, 0, 1))
     with pytest.raises(ValueError, match="layout must be a permutation"):
-        Ring(matrix_names(2), (3,) + diagonal_layout(2))
-
-
-BASES = ("diag", "antidiag", "col-lex")
+        Ring(matrix_names(2), (3,) + matrix_ring(2, "diag").layout)
 
 
 @settings(max_examples=40)
