@@ -267,31 +267,35 @@ def _row_options(below: tuple[int, ...], target: int) -> list[tuple[str, tuple[i
     return [(glyphs + tail, up + (0,) + right) for glyphs, h, up in scans if not h]
 
 
+def _row_steps(w: Perm):
+    """Every row reachable from the bottom, as (i, below, row, up): row
+    i's glyphs between the states under and over it.  A state is the
+    label of the pipe on each column's vertical edge, 0 for none; below
+    row n it is 1, ..., n.  Rows come bottom row first, one layer at a
+    time, so every row into a state comes before any row out of it; the
+    state below row i holds i nonzero labels, so it fixes its layer."""
+    layer = [tuple(range(1, len(w) + 1))]
+    for i in range(len(w), 0, -1):
+        above = {}
+        for below in layer:
+            for row, up in _row_options(below, w[i - 1]):
+                above[up] = None
+                yield i, below, row, up
+        layer = list(above)
+
+
 def enumerate_bpds(w: Perm) -> frozenset[Bpd]:
-    """Every bumpless pipe dream of w, built row by row from the bottom.
-
-    The state between two rows is the label of the pipe on each column's
-    vertical edge; below row n it is 1, ..., n.  Each row is one of its
-    ``_row_options`` for w(i), so every tiling is edge-consistent, has no
-    two pipes crossing twice, and spells w by construction.  The tilings
-    of rows 1..i over a state are kept for the length of one call."""
+    """Every bumpless pipe dream of w, built row by row from the bottom:
+    each state of ``_row_steps`` keeps the tilings of the rows below it.
+    Every row is one of its ``_row_options`` for w(i), so every tiling is
+    edge-consistent, has no two pipes crossing twice, and spells w by
+    construction."""
     w = perms.validate_perm(w)
-    memo = {}
-
-    def tilings(i: int, below: tuple[int, ...]) -> list[Bpd]:
-        if i == 0:
-            return [()]
-        key = (i, below)
-        found = memo.get(key)
-        if found is None:
-            found = memo[key] = [
-                upper + (row,)
-                for row, up in _row_options(below, w[i - 1])
-                for upper in tilings(i - 1, up)
-            ]
-        return found
-
-    return frozenset(tilings(len(w), tuple(range(1, len(w) + 1))))
+    n = len(w)
+    found = {tuple(range(1, n + 1)): [()]}
+    for _, below, row, up in _row_steps(w):
+        found.setdefault(up, []).extend((row,) + rest for rest in found[below])
+    return frozenset(found[(0,) * n])
 
 
 def transition_bijection(B: Bpd, corner: Cell) -> Bpd:

@@ -70,10 +70,11 @@ def _emit(args, lines, payload) -> None:
 
 def cmd_bpd(args) -> int:
     w = perms.perm_from_text(args.word)
-    grids = sorted(bpd_mod.enumerate_bpds(w))
+    grids = bpd_mod.enumerate_bpds(w)
     if args.action == "count":
         _emit(args, [str(len(grids))], {"count": len(grids)})
     else:
+        grids = sorted(grids)
         blocks = [bpd_mod.bpd_to_text(B) for B in grids]
         _emit(args, ["\n\n".join(blocks)], {"bpds": [bpd_mod.bpd_to_json(B) for B in grids]})
     return 0

@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd as _int_gcd
+from math import lcm
 
 from . import asm as asm_mod
 from . import cache as cache_mod
@@ -107,8 +108,10 @@ def _reducer(d: dict[int, int]):
     return (lm, d[lm], tuple((m, c) for m, c in d.items() if m != lm))
 
 
-def _reduce_int(ring: Ring, source: dict[int, int], reducers) -> dict[int, int]:
-    """Fraction-free normal form; content of the result is not cleared.
+def _reduce_int(ring: Ring, source: dict[int, int], reducers) -> tuple[int, dict[int, int]]:
+    """Fraction-free normal form: (s, r) with r the remainder of s times
+    the source, s the product of the factors the work was scaled by.  The
+    content of r is not cleared.
 
     ``reducers`` holds (lead, lead coefficient, tail) triples with
     positive lead coefficients, sorted by lead so small reducers are
@@ -120,6 +123,7 @@ def _reduce_int(ring: Ring, source: dict[int, int], reducers) -> dict[int, int]:
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     out: dict[int, int] = {}
+    scale = 1
     while heap:
         m = -pop(heap)
         c = work.pop(m, 0)
@@ -139,6 +143,7 @@ def _reduce_int(ring: Ring, source: dict[int, int], reducers) -> dict[int, int]:
         a = lc // d
         b = c // d
         if a != 1:
+            scale *= a
             for k in work:
                 work[k] *= a
             for k in out:
@@ -156,7 +161,7 @@ def _reduce_int(ring: Ring, source: dict[int, int], reducers) -> dict[int, int]:
                     work[key] = nv
                 else:
                     del work[key]
-    return out
+    return scale, out
 
 
 def _spoly(ring: Ring, gi, gj, lmi, lmj) -> dict[int, int]:
@@ -216,7 +221,7 @@ def buchberger(gens, use_cache: bool = True) -> list[Poly]:
 
     for s in seeds:
         d = dict(s)
-        nf = _primitive(_reduce_int(ring, d, reducers))
+        nf = _primitive(_reduce_int(ring, d, reducers)[1])
         if nf:
             push_element(nf)
 
@@ -239,7 +244,7 @@ def buchberger(gens, use_cache: bool = True) -> list[Poly]:
         if skip:
             continue
         s = _spoly(ring, basis[i], basis[j], lms[i], lms[j])
-        nf = _primitive(_reduce_int(ring, s, reducers))
+        nf = _primitive(_reduce_int(ring, s, reducers)[1])
         if nf:
             push_element(nf)
 
@@ -262,7 +267,7 @@ def _autoreduce(ring: Ring, basis, lms) -> list[dict[int, int]]:
     # lies below its own lead, so one pass leaves every element reduced.
     reducers = [_reducer(d) for d in kept]
     for k, d in enumerate(kept):
-        kept[k] = _primitive(_reduce_int(ring, d, reducers[:k] + reducers[k + 1 :]))
+        kept[k] = _primitive(_reduce_int(ring, d, reducers[:k] + reducers[k + 1 :])[1])
         reducers[k] = _reducer(kept[k])
     return kept
 
@@ -281,50 +286,23 @@ def is_groebner(gens) -> bool:
     for i in range(len(ds)):
         for j in range(i + 1, len(ds)):
             s = _spoly(ring, ds[i], ds[j], lms[i], lms[j])
-            if _reduce_int(ring, s, reducers):
+            if _reduce_int(ring, s, reducers)[1]:
                 return False
     return True
 
 
 def normal_form(f: Poly, basis) -> Poly:
-    """Remainder of f modulo the basis, with exact rational coefficients."""
+    """Remainder of f modulo the basis, with exact rational coefficients:
+    f is cleared of denominators, reduced fraction-free, and the
+    remainder divided by every factor it was scaled by."""
     basis = [g for g in basis if not g.is_zero]
     if f.is_zero or not basis:
         return f
     ring = _common_ring([f] + basis)
     reducers = sorted(_reducer(_primitive(g.terms)) for g in basis)
-    guard = ring._guard
-    work = {m: Fraction(c) for m, c in f.terms.items()}
-    heap = [-m for m in work]
-    heapq.heapify(heap)
-    out: dict[int, Fraction] = {}
-    while heap:
-        m = -heapq.heappop(heap)
-        c = work.pop(m, 0)
-        if not c:
-            continue
-        mg = m | guard
-        hit = None
-        for red in reducers:
-            if (mg - red[0]) & guard == guard:
-                hit = red
-                break
-        if hit is None:
-            out[m] = c
-            continue
-        lm, lc, tail = hit
-        q = c / lc
-        u = m - lm
-        for gm, gc in tail:
-            key = gm + u
-            nv = work.get(key, 0) - q * gc
-            if nv:
-                if key not in work:
-                    heapq.heappush(heap, -key)
-                work[key] = nv
-            elif key in work:
-                del work[key]
-    return Poly(ring, out)
+    k = lcm(*(c.denominator for c in f.terms.values()))
+    scale, r = _reduce_int(ring, {m: int(c * k) for m, c in f.terms.items()}, reducers)
+    return Poly._of(ring, {m: Fraction(c, scale * k) for m, c in r.items()})
 
 
 def in_ideal(f: Poly, gb) -> bool:

@@ -2,11 +2,14 @@
 
 Each family is named once, by a tag in ``_FAMILIES`` giving its cell
 factor and its step operator.  The operator route multiplies the factor
-over the staircase cells i + j <= n and steps down once per ascent; the
-tiling route multiplies it over the blank cells of each tiling and
-adds every tiling's weight into one term map.  A one-term factor, such as
-the single family's x_i, folds into one packed shift and one coefficient,
-so the single staircase and each single tiling weight are one monomial.
+over the staircase cells i + j <= n and steps down once per ascent.  The
+tiling route sums over the tilings without building one: it walks the
+rows bottom-up over the pipe labels between them (the transfer-matrix
+reading of the sum), keeps one term map per state, and multiplies each
+row's step by the factors of that row's blank cells.  A one-term factor,
+such as the single family's x_i, folds into one packed shift and one
+coefficient, so the single staircase and each single row weight are one
+monomial.
 Both work at the permutation's own size n, the last i with w(i) != i,
 not at the ring's: the polynomials are stable, S_{w x 1} = S_w, so a
 fixed tail changes nothing and costs nothing.
@@ -25,8 +28,6 @@ polynomial here is a nonnegative integer.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from . import bpd as bpd_mod
 from .perms import Perm, apply_transposition, longest_element, validate_perm
@@ -204,21 +205,20 @@ def bpd_single_schubert_poly(w: Perm, ring: Ring) -> Poly:
 
 
 def _tiling_sum(w: Perm, ring: Ring, tag: str) -> Poly:
-    """Every tiling's weight, read off the blank cells of its rows, added
-    into one term map."""
+    """The sum over the tilings of w of their blank-cell products, read
+    row by row: each state between two rows keeps the summed weights of
+    the rows below it, and each row step adds its lower state's sum,
+    times the factors of the row's blank cells, into its upper state's.
+    No tiling is built."""
     w = _own_word(w, ring)
-    # Each cell's factor is built once per call, not once per tiling.
-    factor = cache(_FAMILIES[tag][0])
-    total = {}
-    for grid in bpd_mod.enumerate_bpds(w):
-        blanks = [
-            (i, j)
-            for i, row in enumerate(grid, 1)
-            for j, tile in enumerate(row, 1)
-            if tile == "."
-        ]
-        _add_product(total, _product(ring, blanks, factor).terms, _ONE)
-    return Poly._of(ring, total)
+    n = len(w)
+    factor = _FAMILIES[tag][0]
+    sums = {tuple(range(1, n + 1)): _ONE}
+    for i, below, row, up in bpd_mod._row_steps(w):
+        blanks = [(i, j) for j, tile in enumerate(row, 1) if tile == "."]
+        weight = _product(ring, blanks, factor).terms
+        _add_product(sums.setdefault(up, {}), sums[below], weight)
+    return Poly._of(ring, sums[(0,) * n])
 
 
 def set_beta(f: Poly, value: int) -> Poly:

@@ -208,6 +208,9 @@ def test_buchberger_output_is_verified_groebner_s5(order):
     for w in perms.all_perms(5):
         basis = gb.buchberger(gb.fulton_generators(w, ring), use_cache=False)
         assert gb.is_groebner(basis), perms.perm_to_text(w)
+        for k, p in enumerate(basis):
+            rest = basis[:k] + basis[k + 1 :]
+            assert gb.normal_form(p, rest) == p, perms.perm_to_text(w)
 
 
 def _reduction_budget(monkeypatch, budget, max_bits=10**6):
@@ -221,10 +224,10 @@ def _reduction_budget(monkeypatch, budget, max_bits=10**6):
         calls += 1
         if calls > budget:
             raise AssertionError(f"more than {budget} reductions")
-        out = reduce_int(*args)
-        if any(abs(c).bit_length() > max_bits for c in out.values()):
+        scale, remainder = reduce_int(*args)
+        if any(abs(c).bit_length() > max_bits for c in remainder.values()):
             raise AssertionError(f"a coefficient wider than {max_bits} bits")
-        return out
+        return scale, remainder
 
     monkeypatch.setattr(gb, "_reduce_int", counted)
 
@@ -306,6 +309,12 @@ def test_normal_form_is_exact():
     g = z(ring, 1, 1) * z(ring, 2, 2)
     nf2 = gb.normal_form(g, [2 * z(ring, 1, 1) - z(ring, 1, 2)])
     assert nf2 == Fraction(1, 2) * z(ring, 1, 2) * z(ring, 2, 2)
+    # f carries a denominator, and both reduction steps scale the work.
+    h = Fraction(1, 5) * z(ring, 1, 1) * z(ring, 2, 2) + z(ring, 1, 1)
+    basis = [2 * z(ring, 1, 1) - z(ring, 1, 2), 3 * z(ring, 1, 2) - z(ring, 2, 1)]
+    nf3 = gb.normal_form(h, basis)
+    assert nf3.to_text() == "1/30*z[2,1]*z[2,2] + 1/6*z[2,1]"
+    assert all(type(c) is Fraction for c in nf3.terms.values())
 
 
 def test_initial_ideal_monomials():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bumpless import bpd, schubert
 from bumpless.groebner import buchberger, fulton_generators, initial_ideal
 from bumpless.monomial import MonomialIdeal, grading_images
-from bumpless.perms import apply_transposition
+from bumpless.perms import apply_transposition, perm_from_text
 from bumpless.rings import Poly, exact_divide, matrix_ring, parse_poly
 from bumpless.schubert import (
     bpd_schubert_poly,
@@ -64,6 +64,26 @@ def test_tiling_sum_matches_operator_pipeline_singles():
     X5 = x_ring(5)
     for w in S5:
         assert single_schubert_poly(w, X5) == bpd_single_schubert_poly(w, X5)
+
+
+def test_tiling_sums_build_no_tiling(monkeypatch):
+    # The sums are carried from row to row per state between the rows,
+    # so no grid is ever built; the tilings are counted by the original.
+    calls = []
+    enumerate_bpds = bpd.enumerate_bpds
+
+    def counted(w):
+        calls.append(w)
+        return enumerate_bpds(w)
+
+    monkeypatch.setattr(bpd, "enumerate_bpds", counted)
+    for text in ("1432", "153264", "4721653"):
+        w = perm_from_text(text)
+        n = len(w)
+        bpd_schubert_poly(w, double_ring(n))
+        single = bpd_single_schubert_poly(w, x_ring(n))
+        assert principal_value(single) == len(enumerate_bpds(w)), text
+    assert calls == []
 
 
 def test_dropping_y_recovers_single():
