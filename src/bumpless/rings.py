@@ -569,11 +569,15 @@ def parse_poly(ring, text):
     def peek():
         return toks[pos] if pos < len(toks) else (None, None)
 
+    def unexpected(v):
+        where = "end of" if v is None else f"{v!r} in"
+        return ValueError(f"unexpected {where} polynomial text")
+
     def take(kind, value=None):
         nonlocal pos
         k, v = peek()
         if k != kind or (value is not None and v != value):
-            raise ValueError(f"unexpected {v!r} in polynomial text")
+            raise unexpected(v)
         pos += 1
         return v
 
@@ -642,7 +646,7 @@ def parse_poly(ring, text):
             inner = expr()
             take("op", ")")
             return inner
-        raise ValueError(f"unexpected {v!r} in polynomial text")
+        raise unexpected(v)
 
     if not toks:
         raise ValueError("empty polynomial text")

@@ -1,23 +1,21 @@
-"""Schubert and Grothendieck polynomials, by operators and by tilings.
+"""Schubert and Grothendieck polynomials, by tilings and by operators.
 
-Each family is named once, by a tag in ``_FAMILIES`` giving its cell
-factor and its step operator.  The operator route multiplies the factor
-over the staircase cells i + j <= n and steps down once per ascent.  The
-tiling route sums over the tilings without building one: it walks the
-rows bottom-up over the pipe labels between them (the transfer-matrix
-reading of the sum), keeps one term map per state, and multiplies each
-row's step by the factors of that row's blank cells.  A one-term factor,
-such as the single family's x_i, folds into one packed shift and one
-coefficient, so the single staircase and each single row weight are one
-monomial.
-Both work at the permutation's own size n, the last i with w(i) != i,
-not at the ring's: the polynomials are stable, S_{w x 1} = S_w, so a
-fixed tail changes nothing and costs nothing.
+Each family is named once, by a tag in ``_FAMILIES`` giving the factor
+of a cell (i, j), and has one route.  The Schubert families are tiling
+sums, taken without building a tiling: the rows are walked bottom-up
+over the pipe labels between them (the transfer-matrix reading of the
+sum), one term map per state, each row's step multiplied by the factors
+of its blank cells.  The Grothendieck family multiplies the factor over
+the staircase cells i + j <= n and steps down by isobaric divided
+differences, once per ascent.  Both work at the permutation's own size
+n, the last i with w(i) != i, not at the ring's: the polynomials are
+stable, S_{w x 1} = S_w, so a fixed tail changes nothing and costs
+nothing.  One memo, capped by the terms it holds, keeps every result.
 
-    tag  family                  factor                 step
-    "S"  double Schubert         x_i + y_j              divided_difference
+    tag  family                  cell factor            route
+    "S"  double Schubert         x_i + y_j              tiling sum
     "G"  double Grothendieck     x_i + y_j + beta*x*y   isobaric_divided_difference
-    "s"  single Schubert         x_i                    divided_difference
+    "s"  single Schubert         x_i                    tiling sum
 
 Conventions are additive throughout: the factors are sums and variables
 y never carry a sign.  Under this convention the double polynomial of w
@@ -125,20 +123,29 @@ def _circ(ring: Ring, i: int, j: int) -> Poly:
     return xi + yj + Poly.variable(ring, BETA) * xi * yj
 
 
-# tag -> (staircase factor, step operator name).  The step is looked up by
-# name at call time, so an operator rebound on this module is the one used.
+# tag -> the factor of a blank or staircase cell (i, j).
 _FAMILIES = {
-    "S": (lambda ring, i, j: xvar(ring, i) + yvar(ring, j), "divided_difference"),
-    "G": (_circ, "isobaric_divided_difference"),
-    "s": (lambda ring, i, j: xvar(ring, i), "divided_difference"),
+    "S": lambda ring, i, j: xvar(ring, i) + yvar(ring, j),
+    "G": _circ,
+    "s": lambda ring, i, j: xvar(ring, i),
 }
 
 _MEMO: dict[tuple, Poly] = {}
-# A walk that finds the memo holding more terms than this empties it
+# A store that finds the memo holding more terms than this empties it
 # first (an entry count bounds nothing: all 720 S6 Grothendieck
 # polynomials hold 21.1 million terms, one of them 308,473).
 _MEMO_TERMS_CAP = 4_000_000
 _memo_terms = 0
+
+
+def _store(key: tuple, val: Poly) -> Poly:
+    global _memo_terms
+    if _memo_terms > _MEMO_TERMS_CAP:
+        _MEMO.clear()
+        _memo_terms = 0
+    _MEMO[key] = val
+    _memo_terms += len(val.terms)
+    return val
 
 
 def _own_word(w: Perm, ring: Ring) -> Perm:
@@ -151,46 +158,39 @@ def _own_word(w: Perm, ring: Ring) -> Perm:
     return w[:k]
 
 
-def _by_descents(w: Perm, ring: Ring, tag: str) -> Poly:
-    """Walk up by first ascents to a memo hit or to the longest word, then
-    back down, storing each step.  The staircase is built only on a memo
-    miss at the longest word."""
-    global _memo_terms
+def _by_descents(w: Perm, ring: Ring) -> Poly:
+    """The Grothendieck polynomial: walk up by first ascents to a memo hit
+    or to the longest word, then back down by isobaric steps, storing each
+    one.  The staircase is built only on a memo miss at the longest word."""
     n = len(w)
     top = longest_element(n)
-    factor, step = _FAMILIES[tag]
-    if _memo_terms > _MEMO_TERMS_CAP:
-        _MEMO.clear()
-        _memo_terms = 0
     below = []
-    while (tag, ring, w) not in _MEMO and w != top:
+    while ("G", ring, w) not in _MEMO and w != top:
         i = next(i for i in range(1, n) if w[i - 1] < w[i])
         below.append((w, i))
         w = apply_transposition(w, i, i + 1)
-    val = _MEMO.get((tag, ring, w))
+    val = _MEMO.get(("G", ring, w))
     if val is None:
         staircase = ((i, j) for i in range(1, n) for j in range(1, n - i + 1))
-        val = _MEMO[(tag, ring, w)] = _product(ring, staircase, factor)
-        _memo_terms += len(val.terms)
+        val = _store(("G", ring, w), _product(ring, staircase, _FAMILIES["G"]))
     for w, i in reversed(below):
-        val = _MEMO[(tag, ring, w)] = globals()[step](val, i)
-        _memo_terms += len(val.terms)
+        val = _store(("G", ring, w), isobaric_divided_difference(val, i))
     return val
 
 
 def schubert_poly(w: Perm, ring: Ring) -> Poly:
-    """Double polynomial via divided differences down from the staircase."""
-    return _by_descents(_own_word(w, ring), ring, "S")
+    """Double polynomial: the tiling sum of the factors x_i + y_j."""
+    return _tiling_sum(w, ring, "S")
 
 
 def grothendieck_poly(w: Perm, ring: Ring) -> Poly:
     """Double K-polynomial via isobaric operators; ring needs beta."""
-    return _by_descents(_own_word(w, ring), ring, "G")
+    return _by_descents(_own_word(w, ring), ring)
 
 
 def single_schubert_poly(w: Perm, ring: Ring) -> Poly:
-    """One-variable-family polynomial, down from x1^(n-1)*x2^(n-2)*..."""
-    return _by_descents(_own_word(w, ring), ring, "s")
+    """One-variable-family polynomial: the tiling sum of the factors x_i."""
+    return _tiling_sum(w, ring, "s")
 
 
 def bpd_schubert_poly(w: Perm, ring: Ring) -> Poly:
@@ -209,16 +209,19 @@ def _tiling_sum(w: Perm, ring: Ring, tag: str) -> Poly:
     row by row: each state between two rows keeps the summed weights of
     the rows below it, and each row step adds its lower state's sum,
     times the factors of the row's blank cells, into its upper state's.
-    No tiling is built."""
+    No tiling is built, and each sum is memoized."""
     w = _own_word(w, ring)
+    val = _MEMO.get((tag, ring, w))
+    if val is not None:
+        return val
     n = len(w)
-    factor = _FAMILIES[tag][0]
+    factor = _FAMILIES[tag]
     sums = {tuple(range(1, n + 1)): _ONE}
     for i, below, row, up in bpd_mod._row_steps(w):
         blanks = [(i, j) for j, tile in enumerate(row, 1) if tile == "."]
         weight = _product(ring, blanks, factor).terms
         _add_product(sums.setdefault(up, {}), sums[below], weight)
-    return Poly._of(ring, sums[(0,) * n])
+    return _store((tag, ring, w), Poly._of(ring, sums[(0,) * n]))
 
 
 def set_beta(f: Poly, value: int) -> Poly:

@@ -2,10 +2,10 @@
 
 Where a guarantee quantifies over a whole symmetric group the test
 enumerates the group; where it pins a specific display the expected
-bytes are frozen below.  Everything is exact integer arithmetic.  Six
-sweeps over larger inputs (c01, c04, c13, c14, c15, c16) only run with
-BUMPLESS_EXTENDED=1; with them the whole file takes 12 to 13 seconds
-from a cold cache (Python 3.11 on a 2-core VM).
+bytes are frozen below.  Everything is exact integer arithmetic.  Seven
+sweeps over larger inputs (c01, c04, c13, c14, c15, c16, c17) only run
+with BUMPLESS_EXTENDED=1; with them the whole file takes 15 to 19
+seconds from a cold cache (Python 3.11 on a 2-core VM).
 """
 
 import hashlib
@@ -287,13 +287,16 @@ def test_c13_extended_seven_strand_tiling_census():
 
 
 @extended
-def test_c14_extended_tiling_sums_match_operators_s6():
+def test_c14_extended_tiling_sums_match_operators_s6(by_operators):
     # Both tiling sums, double and single, against the divided-difference
     # route on every permutation of S6.
     ds, xs = double_ring(6), x_ring(6)
     for w in perms.all_perms(6):
-        assert bpd_schubert_poly(w, ds) == schubert_poly(w, ds), w
-        assert bpd_single_schubert_poly(w, xs) == single_schubert_poly(w, xs), w
+        got = schubert_poly(w, ds)
+        assert got == bpd_schubert_poly(w, ds) == by_operators(w, ds), w
+        got = single_schubert_poly(w, xs)
+        expected = by_operators(w, xs, single=True)
+        assert got == bpd_single_schubert_poly(w, xs) == expected, w
 
 
 @extended
@@ -320,13 +323,30 @@ def test_c15_extended_frozen_tiling_digest_s1_to_s7():
 
 
 @extended
-def test_c16_extended_single_tiling_sums_match_operators_s7():
+def test_c16_extended_single_tiling_sums_match_operators_s7(by_operators):
     # The single tiling sum, carried row by row, against the
     # divided-difference route on every permutation of S7.
     xs = x_ring(7)
     terms = 0
     for w in perms.all_perms(7):
         got = bpd_single_schubert_poly(w, xs)
-        assert got == single_schubert_poly(w, xs), w
+        expected = by_operators(w, xs, single=True)
+        assert got == single_schubert_poly(w, xs) == expected, w
         terms += len(got.terms)
     assert terms == 123013
+
+
+@extended
+def test_c17_extended_frozen_schubert_digest_s1_to_s6():
+    # A SHA-256 over every word of S1 to S6 with its double and single
+    # polynomials, frozen from the divided-difference route that the
+    # tiling sums replaced.
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        ds, xs = double_ring(n), x_ring(n)
+        for w in perms.all_perms(n):
+            text = perms.perm_to_text(w) + schubert_poly(w, ds).to_text()
+            digest.update((text + single_schubert_poly(w, xs).to_text()).encode())
+    assert digest.hexdigest() == (
+        "7ae853f783158df170b19233d46d0ecdbf2676b48bff77ae36e48300ddef599b"
+    )

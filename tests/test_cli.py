@@ -371,6 +371,24 @@ def test_division_by_zero_is_a_usage_error(capsys, text):
     assert captured.err == "error: division by zero in polynomial text\n"
 
 
+@pytest.mark.parametrize("text", ["z[1,1]*", "z[1,1]^", "(z[1,1]"])
+def test_truncated_polynomial_names_the_end_of_the_text(capsys, text):
+    assert cli.main(["mono", "decompose", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unexpected end of polynomial text\n"
+
+
+def test_size_eight_double_polynomial_is_a_tiling_sum(capsys):
+    # A word of own size 8: the tiling sum walks its rows and never
+    # multiplies out the 28-factor staircase of S8.
+    code, out = run(capsys, "poly", "dschubert", "12345687")
+    assert code == 0
+    assert out == (
+        "x1 + x2 + x3 + x4 + x5 + x6 + x7 + y1 + y2 + y3 + y4 + y5 + y6 + y7\n"
+    )
+
+
 def test_beta_substitution(capsys):
     code, sym = run(capsys, "poly", "groth", "21")
     assert sym.strip() == "x1*y1*beta + x1 + y1"

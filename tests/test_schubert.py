@@ -1,4 +1,9 @@
-"""Schubert and Grothendieck polynomials: two pipelines, one answer."""
+"""Schubert and Grothendieck polynomials.
+
+The library computes the Schubert families by the tiling sum and the
+Grothendieck family by isobaric divided differences.  The tests check
+the tiling sums against the divided-difference staircase of the
+``by_operators`` fixture, an independent route to the same answer."""
 
 from itertools import permutations
 
@@ -54,16 +59,41 @@ def test_identity_is_one():
     assert grothendieck_poly((1, 2), grothendieck_ring(2)).to_text() == "1"
 
 
-def test_tiling_sum_matches_operator_pipeline_doubles():
+def test_tiling_sum_matches_operator_pipeline_doubles(by_operators):
     D5 = double_ring(5)
     for w in S5:
-        assert schubert_poly(w, D5) == bpd_schubert_poly(w, D5)
+        got = schubert_poly(w, D5)
+        assert got == bpd_schubert_poly(w, D5) == by_operators(w, D5), w
 
 
-def test_tiling_sum_matches_operator_pipeline_singles():
+def test_tiling_sum_matches_operator_pipeline_singles(by_operators):
     X5 = x_ring(5)
     for w in S5:
-        assert single_schubert_poly(w, X5) == bpd_single_schubert_poly(w, X5)
+        got = single_schubert_poly(w, X5)
+        expected = by_operators(w, X5, single=True)
+        assert got == bpd_single_schubert_poly(w, X5) == expected, w
+
+
+def test_schubert_families_take_no_divided_difference(monkeypatch):
+    # The double and single polynomials are tiling sums; only the
+    # Grothendieck family steps down the staircase.
+    monkeypatch.setattr(schubert, "_MEMO", {})
+    monkeypatch.setattr(schubert, "_memo_terms", 0)
+    calls = []
+    step = schubert.divided_difference
+
+    def counted(f, i):
+        calls.append(i)
+        return step(f, i)
+
+    monkeypatch.setattr(schubert, "divided_difference", counted)
+    for text in ("1432", "153264", "4721653"):
+        w = perm_from_text(text)
+        schubert_poly(w, double_ring(len(w)))
+        single_schubert_poly(w, x_ring(len(w)))
+    assert calls == []
+    grothendieck_poly((1, 4, 3, 2), grothendieck_ring(4))
+    assert calls
 
 
 def test_tiling_sums_build_no_tiling(monkeypatch):
@@ -124,29 +154,23 @@ def _count_cells(monkeypatch):
 
 
 def test_staircase_is_built_once_per_family_ring_and_size(monkeypatch):
-    # Repeated calls on equal (not identical) rings hit the memo; the
-    # top of each own size, S1 to S4 in the order sorted S4 first reaches
-    # them, is multiplied out once per family, on the first call.
+    # Only the Grothendieck family has a staircase.  Repeated calls on
+    # equal (not identical) rings hit the memo; the top of each own size,
+    # S1 to S4 in the order sorted S4 first reaches them, is multiplied
+    # out once, on the first call.
     builds = _count_cells(monkeypatch)
-    families = [
-        (schubert_poly, double_ring),
-        (grothendieck_poly, grothendieck_ring),
-        (single_schubert_poly, x_ring),
-    ]
-    first = {(f, w): f(w, ring(4)) for f, ring in families for w in S4}
-    for f, ring in families:
-        for w in reversed(S4):
-            assert f(w, ring(4)) == first[f, w]
-    assert builds == [
-        (ring(4), cells) for _, ring in families for cells in (0, 6, 3, 1)
-    ]
-    assert len(schubert._MEMO) == 3 * len(S4)
+    first = {w: grothendieck_poly(w, grothendieck_ring(4)) for w in S4}
+    for w in reversed(S4):
+        assert grothendieck_poly(w, grothendieck_ring(4)) == first[w]
+    assert builds == [(grothendieck_ring(4), cells) for cells in (0, 6, 3, 1)]
+    assert len(schubert._MEMO) == len(S4)
 
 
 def test_padded_word_builds_only_its_own_staircase(monkeypatch):
     builds = _count_cells(monkeypatch)
-    assert schubert_poly((2, 1, 3, 4, 5), double_ring(5)).to_text() == "x1 + y1"
-    assert builds == [(double_ring(5), 1)]
+    got = grothendieck_poly((2, 1, 3, 4, 5), grothendieck_ring(5)).to_text()
+    assert got == "x1*y1*beta + x1 + y1"
+    assert builds == [(grothendieck_ring(5), 1)]
 
 
 ENTRY_POINTS = [
@@ -301,8 +325,9 @@ def test_k_polynomial_order_independent():
 
 
 def test_memo_is_bounded_without_changing_an_answer(monkeypatch):
-    # Under a cap of 100 terms a walk starts on at most 100 terms and adds
-    # at most 7 entries (S4's longest chain up to the top).
+    # Under a cap of 100 terms a store that finds more than 100 terms held
+    # empties the memo first, so it never holds more than 100 terms and the
+    # entry just stored; tiling sums and staircase steps share the cap.
     families = [
         (schubert_poly, double_ring),
         (grothendieck_poly, grothendieck_ring),
@@ -322,5 +347,5 @@ def test_memo_is_bounded_without_changing_an_answer(monkeypatch):
             terms = sum(len(p.terms) for p in schubert._MEMO.values())
             assert terms == schubert._memo_terms
             held.append(terms)
-    assert 100 < max(held) <= 100 + 7 * largest
+    assert 100 < max(held) <= 100 + largest
     assert any(later < earlier for earlier, later in zip(held, held[1:]))
