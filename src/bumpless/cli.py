@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import asm as asm_mod
 from . import bpd as bpd_mod
@@ -207,6 +206,8 @@ def _verify_cases(args) -> list[tuple]:
             for w in ws:
                 for c in [corner] if corner else sorted(perms.lower_outside_corners(w)):
                     cases.append((kind, w, c, *extra))
+    if not cases and args.all_sn is None:
+        raise ValueError(f"no lower outside corner in {' '.join(args.inputs)}")
     return cases
 
 
@@ -221,6 +222,9 @@ def cmd_verify(args) -> int:
     cores = os.cpu_count() or 1
     workers = min(args.workers or cores, len(cases), cores)
     if workers > 1:
+        # Imported here, so a process that forks no pool never loads it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_verify_case, cases))
     else:

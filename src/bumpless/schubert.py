@@ -1,21 +1,23 @@
 """Schubert and Grothendieck polynomials, by tilings and by operators.
 
-Each family is named once, by a tag in ``_FAMILIES`` giving the factor
-of a cell (i, j), and has one route.  The Schubert families are tiling
-sums, taken without building a tiling: the rows are walked bottom-up
-over the pipe labels between them (the transfer-matrix reading of the
-sum), one term map per state, each row's step multiplied by the factors
-of its blank cells.  The Grothendieck family multiplies the factor over
-the staircase cells i + j <= n and steps down by isobaric divided
+Each family is named once, by a tag, and has one route.  ``_factor``
+gives the factor of a cell (i, j) as a term map, a sum of packed
+monomials; the walk's rows, the staircase and the corner recurrences of
+``transition`` all multiply it.  The Schubert families are tiling sums,
+taken without building a tiling: the rows are walked bottom-up over the
+pipe labels between them (the transfer-matrix reading of the sum), one
+term map per state, each row's step multiplied by the factors of its
+blank cells.  The Grothendieck family multiplies the factor over the
+staircase cells i + j <= n and steps down by isobaric divided
 differences, once per ascent.  Both work at the permutation's own size
 n, the last i with w(i) != i, not at the ring's: the polynomials are
 stable, S_{w x 1} = S_w, so a fixed tail changes nothing and costs
 nothing.  One memo, capped by the terms it holds, keeps every result.
 
-    tag  family                  cell factor            route
-    "S"  double Schubert         x_i + y_j              tiling sum
-    "G"  double Grothendieck     x_i + y_j + beta*x*y   isobaric_divided_difference
-    "s"  single Schubert         x_i                    tiling sum
+    tag  family               _factor term map          route
+    "S"  double Schubert      {x_i, y_j}                tiling sum
+    "G"  double Grothendieck  {x_i, y_j, x_i*y_j*beta}  isobaric_divided_difference
+    "s"  single Schubert      {x_i}                     tiling sum
 
 Conventions are additive throughout: the factors are sums and variables
 y never carry a sign.  Under this convention the double polynomial of w
@@ -98,37 +100,26 @@ def isobaric_divided_difference(f: Poly, i: int) -> Poly:
     return divided_difference(f + lift * f, i)
 
 
-def _product(ring: Ring, cells, factor) -> Poly:
-    """The product of the cells' factors.  The one-term factors fold
-    into one packed shift and one coefficient, the monomial that starts
-    the product; only factors of two or more terms multiply."""
-    shift, coeff = 0, 1
-    rest = []
+def _factor(ring: Ring, tag: str, i: int, j: int) -> dict:
+    """The term map of the factor of cell (i, j) in the family ``tag``."""
+    x = ring.variable(f"x{i}")
+    if tag == "s":
+        return {x: 1}
+    y = ring.variable(f"y{j}")
+    if tag == "S":
+        return {x: 1, y: 1}
+    return {x: 1, y: 1, x + y + ring.variable(BETA): 1}
+
+
+def _product(ring: Ring, cells, tag: str) -> dict:
+    """The term map of the product of the cells' factors."""
+    total = {0: 1}
     for i, j in cells:
-        f = factor(ring, i, j)
-        if len(f.terms) == 1:
-            ((m, c),) = f.terms.items()
-            shift += m
-            coeff *= c
-        else:
-            rest.append(f)
-    total = Poly._of(ring, {shift: coeff})
-    for f in rest:
-        total = total * f
+        acc = {}
+        _add_product(acc, total, _factor(ring, tag, i, j))
+        total = acc
     return total
 
-
-def _circ(ring: Ring, i: int, j: int) -> Poly:
-    xi, yj = xvar(ring, i), yvar(ring, j)
-    return xi + yj + Poly.variable(ring, BETA) * xi * yj
-
-
-# tag -> the factor of a blank or staircase cell (i, j).
-_FAMILIES = {
-    "S": lambda ring, i, j: xvar(ring, i) + yvar(ring, j),
-    "G": _circ,
-    "s": lambda ring, i, j: xvar(ring, i),
-}
 
 _MEMO: dict[tuple, Poly] = {}
 # A store that finds the memo holding more terms than this empties it
@@ -172,7 +163,7 @@ def _by_descents(w: Perm, ring: Ring) -> Poly:
     val = _MEMO.get(("G", ring, w))
     if val is None:
         staircase = ((i, j) for i in range(1, n) for j in range(1, n - i + 1))
-        val = _store(("G", ring, w), _product(ring, staircase, _FAMILIES["G"]))
+        val = _store(("G", ring, w), Poly._of(ring, _product(ring, staircase, "G")))
     for w, i in reversed(below):
         val = _store(("G", ring, w), isobaric_divided_difference(val, i))
     return val
@@ -215,11 +206,10 @@ def _tiling_sum(w: Perm, ring: Ring, tag: str) -> Poly:
     if val is not None:
         return val
     n = len(w)
-    factor = _FAMILIES[tag]
     sums = {tuple(range(1, n + 1)): _ONE}
     for i, below, row, up in bpd_mod._row_steps(w):
         blanks = [(i, j) for j, tile in enumerate(row, 1) if tile == "."]
-        weight = _product(ring, blanks, factor).terms
+        weight = _product(ring, blanks, tag)
         _add_product(sums.setdefault(up, {}), sums[below], weight)
     return _store((tag, ring, w), Poly._of(ring, sums[(0,) * n]))
 

@@ -25,9 +25,9 @@ polynomials, 2001).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import combinations
+from typing import NamedTuple
 
 from . import asm as asm_mod
 from . import bpd as bpd_mod
@@ -47,7 +47,7 @@ from .monomial import MonomialIdeal, grading_images, prime_names
 from .rings import _ONE, Poly, Ring, _add_product, matrix_ring
 from .schubert import (
     BETA,
-    _circ,
+    _factor,
     double_ring,
     grothendieck_poly,
     grothendieck_ring,
@@ -59,8 +59,7 @@ from .schubert import (
 Cell = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class TransitionData:
+class TransitionData(NamedTuple):
     """One corner's worth of recurrence input.
 
     Removing the corner from the diagram of w gives the shorter
@@ -185,7 +184,7 @@ def verify_schubert_transition(w, corner: Cell) -> dict:
     a, b = corner
     T = double_ring(len(w))
     F = partial(schubert_poly, ring=T)
-    c1 = xvar(T, a) + yvar(T, b)
+    c1 = Poly._of(T, _factor(T, "S", a, b))
     return _corner_recurrence(td, "schubert-transition", F, c1, 1, 0)
 
 
@@ -196,7 +195,7 @@ def verify_grothendieck_transition(w, corner: Cell) -> dict:
     a, b = corner
     G = grothendieck_ring(len(w))
     beta = Poly.variable(G, BETA)
-    circ = _circ(G, a, b)
+    circ = Poly._of(G, _factor(G, "G", a, b))
     F = partial(grothendieck_poly, ring=G)
     return _corner_recurrence(
         td, "grothendieck-transition", F, circ, 1 + beta * circ, beta

@@ -1,5 +1,8 @@
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -421,7 +424,7 @@ class RecordingPool:
 )
 def test_worker_pool_is_clamped(capsys, monkeypatch, workers, cores, expected):
     # verify transition --all-sn 3 has six cases
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     code, _ = run(capsys, "--workers", workers, "verify", "transition", "--all-sn", "3")
@@ -435,7 +438,7 @@ def test_worker_pool_is_clamped(capsys, monkeypatch, workers, cores, expected):
     [(["--workers", "0"], None), (["--workers", "0"], "4"), (["--workers", "-2"], None)],
 )
 def test_workers_below_one_is_a_usage_error(capsys, monkeypatch, argv, env):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     if env is not None:
         monkeypatch.setenv("BUMPLESS_WORKERS", env)
@@ -474,6 +477,43 @@ def test_case_inputs_or_a_sweep_but_not_both(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("words", [["1"], ["1234"], ["1", "12"]])
+@pytest.mark.parametrize("target", ["transition", "groth-transition", "hilbert", "linkdecomp"])
+def test_explicit_words_without_a_corner_are_a_usage_error(capsys, target, words):
+    # Explicit inputs that give no case do not pass as "0 passed".
+    assert cli.main(["--workers", "1", "verify", target, *words]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no lower outside corner in {' '.join(words)}\n"
+
+
+@pytest.mark.parametrize(
+    "target", ["transition", "groth-transition", "hilbert", "linkdecomp", "ycompat"]
+)
+def test_a_sweep_without_a_case_still_reports(capsys, target):
+    argv = ("--workers", "1", "verify", target, "--all-sn", "1")
+    assert run(capsys, *argv) == (0, "0 passed, 0 failed\n")
+
+
+def test_importing_the_cli_loads_no_worker_pool():
+    # concurrent.futures is imported where verify forks its pool, and
+    # nothing imported with the CLI needs dataclasses.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, bumpless.cli; "
+        "print(sorted({'concurrent.futures', 'dataclasses'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
+
+
 def test_worker_pool_matches_sequential(capsys):
     seq = run(capsys, "--workers", "1", "verify", "transition", "--all-sn", "3")
     par = run(capsys, "--workers", "2", "verify", "transition", "--all-sn", "3")
@@ -498,7 +538,7 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
 
 
 def test_no_option_carries_over_to_the_next_call(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     argv = ("verify", "transition", "--all-sn", "3")
@@ -514,7 +554,7 @@ def test_no_option_carries_over_to_the_next_call(capsys, monkeypatch):
 
 
 def test_calls_change_neither_the_environment_nor_the_parser(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(cli, "_parser", None)
@@ -594,7 +634,7 @@ def test_entries_written_by_forked_workers_are_hits_in_the_parent(
 
 
 def test_workers_environment_is_not_read(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setenv("BUMPLESS_WORKERS", "abc")

@@ -5,6 +5,7 @@ Grothendieck family by isobaric divided differences.  The tests check
 the tiling sums against the divided-difference staircase of the
 ``by_operators`` fixture, an independent route to the same answer."""
 
+import hashlib
 from itertools import permutations
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from bumpless import bpd, schubert
 from bumpless.groebner import buchberger, fulton_generators, initial_ideal
 from bumpless.monomial import MonomialIdeal, grading_images
-from bumpless.perms import apply_transposition, perm_from_text
+from bumpless.perms import all_perms, apply_transposition, perm_from_text, perm_to_text
 from bumpless.rings import Poly, exact_divide, matrix_ring, parse_poly
 from bumpless.schubert import (
     bpd_schubert_poly,
@@ -116,6 +117,26 @@ def test_tiling_sums_build_no_tiling(monkeypatch):
     assert calls == []
 
 
+def test_tiling_sums_build_no_factor_polynomial(monkeypatch):
+    # Each row step multiplies the packed term maps of its blank cells;
+    # none of them is built as a Poly through xvar or yvar.
+    monkeypatch.setattr(schubert, "_MEMO", {})
+    monkeypatch.setattr(schubert, "_memo_terms", 0)
+    calls = []
+    for name in ("xvar", "yvar"):
+        build = getattr(schubert, name)
+
+        def counted(ring, k, build=build, name=name):
+            calls.append((name, k))
+            return build(ring, k)
+
+        monkeypatch.setattr(schubert, name, counted)
+    w = perm_from_text("4721653")
+    assert principal_value(schubert_poly(w, double_ring(7))) > 0
+    assert principal_value(single_schubert_poly(w, x_ring(7))) > 0
+    assert calls == []
+
+
 def test_dropping_y_recovers_single():
     ys = tuple(f"y{j}" for j in range(1, 5))
     for w in S4:
@@ -136,6 +157,26 @@ def test_grothendieck_top_term_count():
     assert all(c != 0 for c in g.terms.values())
 
 
+def test_frozen_grothendieck_digest_s1_to_s5(monkeypatch):
+    # A SHA-256 over every word of S1 to S5 with its Grothendieck
+    # polynomial, frozen from the staircase of Poly factors that the
+    # packed cell factors replaced; each staircase is built here afresh.
+    monkeypatch.setattr(schubert, "_MEMO", {})
+    monkeypatch.setattr(schubert, "_memo_terms", 0)
+    digest = hashlib.sha256()
+    terms = 0
+    for n in range(1, 6):
+        G = grothendieck_ring(n)
+        for w in all_perms(n):
+            f = grothendieck_poly(w, G)
+            digest.update((perm_to_text(w) + f.to_text()).encode())
+            terms += len(f.terms)
+    assert terms == 155482
+    assert digest.hexdigest() == (
+        "845465fa6e780c98355090d4baa819b98fe81de47cb652ac1cc529a5b8daff83"
+    )
+
+
 def _count_cells(monkeypatch):
     """Empty the memo and record how many cells each staircase build
     multiplies out, with the ring it is built in."""
@@ -144,10 +185,10 @@ def _count_cells(monkeypatch):
     builds = []
     product = schubert._product
 
-    def counted(ring, cells, factor):
+    def counted(ring, cells, tag):
         cells = list(cells)
         builds.append((ring, len(cells)))
-        return product(ring, cells, factor)
+        return product(ring, cells, tag)
 
     monkeypatch.setattr(schubert, "_product", counted)
     return builds
